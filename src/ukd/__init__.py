@@ -55,7 +55,6 @@ from .harness import (
     save_checkpoint,
     train,
     train_step_dual,
-    train_step_single,
 )
 from .nets import (
     LayerSpec,

@@ -3,8 +3,9 @@ ladder, checkpoint evaluation, and run-comparison reports.
 
 Every command is deterministic given its flags; all randomness is seeded
 through the config. Exit codes are a stable contract: 0 success, 2 for
-usage or config errors, 3 for a numeric abort (divergence). Config files
-mirror TrainConfig; command-line flags win over config-file values.
+usage, config or OS errors and API misuse, 3 for a numeric abort
+(divergence). Config files mirror TrainConfig; command-line flags win over
+config-file values.
 
 The default output root is ./runs, overridable with UKD_RUN_ROOT.
 No command writes into a non-empty directory it did not just create,
@@ -19,11 +20,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .data import DatasetSpec, bayes_oracle_accuracy, generate, load_dataset, save_dataset
-from .errors import ContractError, DataError, NumericError, SpecError, UkdError
+from .errors import DataError, NumericError, SpecError, UkdError
 from .harness import (
     Seeds,
     TrainConfig,
@@ -39,18 +41,24 @@ from .nets import LayerSpec, compression_ratio, param_count
 MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
               "dual": "dual"}
 
-_RUN_KEYS = ("mode", "alpha", "beta", "gamma", "tau", "epochs", "batch_size",
-             "eta0", "momentum", "weight_decay", "kl_direction", "teacher_epochs",
-             "augment_strength", "augment_flip", "out")
-_DATASET_KEYS = ("num_classes", "samples_per_class", "feature_dim",
-                 "overlap_sigma", "seed", "val_fraction")
-_SEED_KEYS = ("data", "teacher", "student1", "student2", "shuffle")
-_ARCH_KEYS = ("teacher", "student1", "student2")
-_KNOWN_SECTIONS = {"run": _RUN_KEYS, "dataset": _DATASET_KEYS,
-                   "seeds": _SEED_KEYS, "architecture": _ARCH_KEYS}
-
 
 # ------------------------------------------------------------- config files
+
+
+def _scalar_fields(cls) -> dict[str, type]:
+    """The int, float and str fields of a dataclass, in order, with their types.
+
+    An optional field (``float | None``) counts with its first type.
+    """
+    kinds = {name: (get_args(hint) or (hint,))[0] for name, hint in get_type_hints(cls).items()}
+    return {f.name: kinds[f.name] for f in fields(cls) if kinds[f.name] in (int, float, str)}
+
+
+# Sections whose keys are the scalar fields of a dataclass, with their value types.
+_FIELDS = {"run": _scalar_fields(TrainConfig), "dataset": _scalar_fields(DatasetSpec),
+           "seeds": _scalar_fields(Seeds)}
+_ARCH_KEYS = ("teacher", "student1", "student2")
+_KNOWN_SECTIONS = {**_FIELDS, "run": [*_FIELDS["run"], "out"], "architecture": _ARCH_KEYS}
 
 
 def _spec_from_widths(in_dim: int, out_dim: int, widths: list[int]) -> list[LayerSpec]:
@@ -70,42 +78,24 @@ def _widths_from_spec(spec: list[LayerSpec]) -> list[int]:
 
 def render_config(config: TrainConfig, out: str | None = None) -> str:
     """Write a TrainConfig as a config file; parse_config inverts this exactly."""
-    lines = ["[run]", f"mode = {config.mode}"]
-    for key in ("alpha", "beta", "gamma", "tau"):
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    for key in ("epochs", "batch_size"):
-        lines.append(f"{key} = {getattr(config, key)}")
-    for key in ("eta0", "momentum", "weight_decay"):
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    lines.append(f"kl_direction = {config.kl_direction}")
-    lines.append(f"teacher_epochs = {config.teacher_epochs}")
-    lines.append(f"augment_strength = {config.augment_strength!r}")
-    lines.append(f"augment_flip = {'true' if config.augment_flip else 'false'}")
-    if out is not None:
-        lines.append(f"out = {out}")
-    ds = config.dataset
-    lines += ["", "[dataset]",
-              f"num_classes = {ds.num_classes}",
-              f"samples_per_class = {ds.samples_per_class}",
-              f"feature_dim = {ds.feature_dim}",
-              f"overlap_sigma = {ds.overlap_sigma!r}",
-              f"seed = {ds.seed}",
-              f"val_fraction = {ds.val_fraction!r}"]
-    lines += ["", "[seeds]"] + [
-        f"{key} = {getattr(config.seeds, key)}" for key in _SEED_KEYS]
-    lines += ["", "[architecture]",
-              f"teacher = {','.join(map(str, _widths_from_spec(config.teacher_spec)))}",
-              f"student1 = {','.join(map(str, _widths_from_spec(config.student1_spec)))}",
-              f"student2 = {','.join(map(str, _widths_from_spec(config.student2_spec)))}"]
+    lines = []
+    for section, part in (("run", config), ("dataset", config.dataset),
+                          ("seeds", config.seeds)):
+        # str of a python float is its shortest round-tripping repr
+        lines += [f"[{section}]"] + [f"{key} = {getattr(part, key)}"
+                                     for key in _FIELDS[section]]
+        if section == "run" and out is not None:
+            lines.append(f"out = {out}")
+        lines.append("")
+    lines.append("[architecture]")
+    for key in _ARCH_KEYS:
+        widths = _widths_from_spec(getattr(config, f"{key}_spec"))
+        lines.append(f"{key} = {','.join(map(str, widths))}")
     return "\n".join(lines) + "\n"
 
 
 def _convert(section: str, key: str, raw: str, kind):
     try:
-        if kind is bool:
-            if raw not in ("true", "false"):
-                raise ValueError(raw)
-            return raw == "true"
         return kind(raw)
     except ValueError:
         raise SpecError(f"bad value {raw!r} for {key} in [{section}]") from None
@@ -133,18 +123,14 @@ def parse_config(text: str) -> tuple[TrainConfig, str | None]:
                 raise SpecError(f"unknown key {key!r} in [{section}]")
     if not cp.has_option("run", "mode"):
         raise SpecError("config missing mode in [run]")
-
-    ds_kw = {}
-    for key, kind in (("num_classes", int), ("samples_per_class", int),
-                      ("feature_dim", int), ("overlap_sigma", float),
-                      ("seed", int), ("val_fraction", float)):
-        if cp.has_option("dataset", key):
-            ds_kw[key] = _convert("dataset", key, cp["dataset"][key], kind)
-    dataset = DatasetSpec(**ds_kw)
-
+    given = {
+        section: {key: _convert(section, key, cp[section][key], kind)
+                  for key, kind in kinds.items() if cp.has_option(section, key)}
+        for section, kinds in _FIELDS.items()
+    }
+    dataset = DatasetSpec(**given["dataset"])
     if cp.has_section("seeds"):
-        seeds = Seeds(**{key: _convert("seeds", key, cp["seeds"][key], int)
-                         for key in _SEED_KEYS if cp.has_option("seeds", key)})
+        seeds = Seeds(**given["seeds"])
     else:
         seeds = Seeds.from_block(0)
 
@@ -155,36 +141,13 @@ def parse_config(text: str) -> tuple[TrainConfig, str | None]:
             specs[f"{key}_spec"] = _spec_from_widths(
                 dataset.feature_dim, dataset.num_classes, widths)
 
-    run_kw = {}
-    for key, kind in (("alpha", float), ("beta", float), ("gamma", float),
-                      ("tau", float), ("epochs", int), ("batch_size", int),
-                      ("eta0", float), ("momentum", float), ("weight_decay", float),
-                      ("teacher_epochs", int), ("augment_strength", float),
-                      ("augment_flip", bool)):
-        if cp.has_option("run", key):
-            run_kw[key] = _convert("run", key, cp["run"][key], kind)
-    if cp.has_option("run", "kl_direction"):
-        run_kw["kl_direction"] = cp["run"]["kl_direction"]
     out = cp["run"].get("out") if cp.has_option("run", "out") else None
-
-    config = TrainConfig(mode=cp["run"]["mode"], seeds=seeds, dataset=dataset,
-                         **run_kw, **specs)
+    config = TrainConfig(seeds=seeds, dataset=dataset, **given["run"], **specs)
     return config, out
 
 
 # -------------------------------------------------------------- assembling
 
-
-_HYPER_FLAGS = (
-    # (flag attr, TrainConfig field, type)
-    ("alpha", "alpha", float), ("beta", "beta", float), ("gamma", "gamma", float),
-    ("tau", "tau", float), ("epochs", "epochs", int),
-    ("batch_size", "batch_size", int), ("eta0", "eta0", float),
-    ("momentum", "momentum", float), ("weight_decay", "weight_decay", float),
-    ("kl_direction", "kl_direction", str),
-    ("teacher_epochs", "teacher_epochs", int),
-    ("augment_strength", "augment_strength", float),
-)
 
 _DATASET_FLAGS = (("classes", "num_classes"), ("per_class", "samples_per_class"),
                   ("dim", "feature_dim"), ("sigma", "overlap_sigma"),
@@ -193,14 +156,9 @@ _DATASET_FLAGS = (("classes", "num_classes"), ("per_class", "samples_per_class")
 
 def _assemble_config(args, default_mode: str | None = None) -> tuple[TrainConfig, str | None]:
     """Config file plus flag overrides -> a validated TrainConfig. Flags win."""
-    overrides = {}
-    for attr, field, _ in _HYPER_FLAGS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
-    flip = getattr(args, "augment_flip", None)
-    if flip is not None:
-        overrides["augment_flip"] = flip == "on"
+    # every [run] field but mode has a flag whose dest is the field name
+    overrides = {key: getattr(args, key) for key in _FIELDS["run"]
+                 if key != "mode" and getattr(args, key, None) is not None}
 
     mode_flag = getattr(args, "mode", None)
     block = getattr(args, "seed_block", None)
@@ -403,8 +361,6 @@ def _add_hyper_flags(p: argparse.ArgumentParser, with_mode: bool = True) -> None
                    help="teacher pretraining epochs (default: 30)")
     p.add_argument("--augment-strength", type=float,
                    help="train-time Gaussian noise sigma (default: 0.1)")
-    p.add_argument("--augment-flip", choices=("on", "off"),
-                   help="random sign-flip augmentation (default: off)")
     _add_dataset_flags(p)
 
 
@@ -480,13 +436,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NumericError, ContractError) as err:
+    except NumericError as err:
         print(f"numeric abort: {err}", file=sys.stderr)
         return 3
-    except UkdError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (UkdError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -158,22 +158,11 @@ def batches(ds: Dataset, split: str, batch_size: int, shuffle_seed: int,
     ]
 
 
-def augment(x: np.ndarray, strength: float, rng: np.random.Generator,
-            flip: bool = False) -> np.ndarray:
-    """Additive N(0, strength^2) noise, then optional per-sample coordinate sign flips.
-
-    When flip is on, each sample is flipped with probability 1/2, and a flipped
-    sample negates each coordinate independently with probability 1/2. Draw
-    order is fixed: noise first, then the flip gates, then the coordinate mask.
-    """
+def augment(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive N(0, strength^2) noise."""
     if strength < 0:
         raise ParameterError(f"strength must be nonnegative, got {strength}")
-    out = x + rng.normal(0.0, strength, x.shape)
-    if flip:
-        gate = rng.random(x.shape[0]) < 0.5
-        mask = rng.random(x.shape) < 0.5
-        out = np.where(gate[:, None] & mask, -out, out)
-    return out
+    return x + rng.normal(0.0, strength, x.shape)
 
 
 def bayes_oracle_accuracy(spec: DatasetSpec, mc_samples: int = 20_000,
@@ -237,13 +226,3 @@ def load_dataset(path, val_fraction: float = 0.1) -> Dataset:
         raise FormatError(f"label out of range [0, {num_classes}) at offset 20")
     features = np.frombuffer(blob[labels_end:], dtype="<f8").reshape(n, dim).copy()
     return _assemble(features, labels, num_classes, val_fraction)
-
-
-def export_csv(ds: Dataset, path) -> None:
-    """Raw features with labels, one row per sample, for outside inspection."""
-    dim = ds.features.shape[1]
-    header = "label," + ",".join(f"f{i}" for i in range(dim))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for label, row in zip(ds.labels, ds.features):
-            fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")

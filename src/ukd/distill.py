@@ -17,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DistributionError, LabelError, ParameterError, ShapeError
+from .errors import (ContractError, DistributionError, LabelError, NumericError,
+                     ParameterError, ShapeError)
 from .gradcore import (
     Tensor,
+    add,
     detach,
     exp,
     log_softmax,
@@ -60,7 +62,7 @@ class LossBreakdown:
     def __post_init__(self):
         vals = (self.hard, self.teacher, self.peer, self.total)
         if not all(np.isfinite(v) for v in vals):
-            raise ContractError(f"non-finite loss component in {vals}")
+            raise NumericError(f"non-finite loss component in {vals}")
         if any(v < -1e-12 for v in vals):
             raise ContractError(f"negative loss component in {vals}")
 
@@ -220,7 +222,7 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
     if live:
         combined = live[0]
         for part in live[1:]:
-            combined = combined + part
+            combined = add(combined, part)
     else:
         combined = Tensor(0.0)
     breakdown = LossBreakdown(

@@ -36,10 +36,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Node:
     """One recorded operation in a computation graph.
 
@@ -77,31 +73,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        return detach(self)
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _lift(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         flags = []
         if self.requires_grad:
@@ -110,10 +81,6 @@ class Tensor:
             flags.append(f"op={self.node.op}")
         tail = ", ".join([f"shape={self.shape}"] + flags)
         return f"Tensor({tail})"
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:

@@ -1,24 +1,26 @@
-"""Training protocols: teacher pretraining, single and dual student steps,
-full runs with metrics and checkpoints, and the loss-component ablation ladder.
+"""Training protocols: teacher pretraining, the dual student step, full runs
+with metrics and checkpoints, and the loss-component ablation ladder.
 
 Reproducibility rests on named RNG streams. The dataset comes from
 seeds.data, teacher init and pretraining order from seeds.teacher, student
 inits from seeds.student1/student2, and the shared batch order plus
 augmentation noise from seeds.shuffle. No step consumes randomness anywhere
 else, which is what makes the mode-reduction equivalences hold bit for bit:
-a dual run with gamma=0 performs, float by float, the same updates as two
-single-student runs with the same seeds.
+every ladder row is the dual step with some loss weights at zero, and with
+gamma=0 neither student's updates depend on the other student.
 
-Metrics CSVs must be byte-identical across repeated runs, so the
-wall_seconds column is written as 0.0; real timing goes to the run summary.
+Metrics CSVs must be byte-identical across repeated runs, so they hold no
+timing; the one wall-clock value is total_wall_seconds in the run summary.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +61,6 @@ MODE_WEIGHTS = {
 }
 
 ABLATION_ROWS = ("hard_only", "baseline_kd", "uncertainty_kd", "dual")
-
-METRICS_HEADER = ("epoch,student,train_loss,hard,teacher,peer,total,train_top1,"
-                  "val_top1,val_top5,mean_entropy,mean_weight,lr,wall_seconds")
 
 UKDC_MAGIC = b"UKDC"
 UKDC_VERSION = 1
@@ -110,7 +109,6 @@ class TrainConfig:
     kl_direction: str = "as_paper"
     teacher_epochs: int = 30
     augment_strength: float = 0.1
-    augment_flip: bool = False
     seeds: Seeds = field(default_factory=lambda: Seeds.from_block(0))
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
     teacher_spec: list[LayerSpec] | None = None
@@ -127,6 +125,10 @@ class TrainConfig:
             self.beta = defaults[1]
         if self.gamma is None:
             self.gamma = defaults[2]
+        for name in ("alpha", "beta", "gamma", "tau", "eta0", "momentum",
+                     "weight_decay", "augment_strength"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise SpecError(f"{name} must be nonnegative")
@@ -169,7 +171,6 @@ class MetricsRecord:
 
     epoch: int
     student: str
-    train_loss: float
     hard: float
     teacher: float
     peer: float
@@ -180,19 +181,13 @@ class MetricsRecord:
     mean_entropy: float
     mean_weight: float
     lr: float
-    wall_seconds: float
 
     def csv_row(self) -> str:
-        # wall_seconds is forced to 0.0 in files so identical runs produce
-        # identical bytes; the true timing lives in the run summary.
-        cells = [str(self.epoch), self.student] + [
-            repr(v) for v in (
-                self.train_loss, self.hard, self.teacher, self.peer, self.total,
-                self.train_top1, self.val_top1, self.val_top5,
-                self.mean_entropy, self.mean_weight, self.lr, 0.0,
-            )
-        ]
-        return ",".join(cells)
+        # str of a python float is its shortest round-tripping repr
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
+
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 @dataclass
@@ -245,18 +240,23 @@ def _teacher_stats(teacher: Network, x: np.ndarray):
     return t_logits, uncertainty_stats(probs)
 
 
-def train_step_single(teacher: Network, student: Network, batch, config: TrainConfig,
-                      opt: SgdState) -> tuple[LossBreakdown, UncertaintyStats]:
-    """One supervised+teacher update of a lone student (no peer term)."""
-    x, y = batch
-    t_logits, stats = _teacher_stats(teacher, x)
-    w = confidence_for_mode(config.mode, stats)
-    logits = forward(student, Tensor(x))
-    loss, breakdown = _student_loss(logits, t_logits, y, w, config)
-    zero_grad(student.parameters)
+def _update(net: Network, loss: Tensor, opt: SgdState) -> None:
+    """One SGD update of net from the gradient of loss."""
+    zero_grad(net.parameters)
     backward(loss)
-    sgd_step(student.parameters, opt)
-    return breakdown, stats
+    sgd_step(net.parameters, opt)
+
+
+def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int):
+    """One epoch of noise-augmented train batches.
+
+    Batch order comes from [stream, epoch] and noise from [stream, epoch, 1],
+    so the teacher (seeds.teacher) and the students (seeds.shuffle) each
+    draw from their own stream.
+    """
+    rng = np.random.default_rng([stream, epoch, 1])
+    for x, y in batches(ds, "train", config.batch_size, stream, epoch):
+        yield augment(x, config.augment_strength, rng), y
 
 
 def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
@@ -279,12 +279,8 @@ def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
     z2 = forward(s2, Tensor(x))
     loss1, bd1 = _student_loss(z1, t_logits, y, w, config, peer_logits=z2)
     loss2, bd2 = _student_loss(z2, t_logits, y, w, config, peer_logits=z1)
-    zero_grad(s1.parameters)
-    backward(loss1)
-    zero_grad(s2.parameters)
-    backward(loss2)
-    sgd_step(s1.parameters, opt1)
-    sgd_step(s2.parameters, opt2)
+    _update(s1, loss1, opt1)
+    _update(s2, loss2, opt2)
     return bd1, bd2, stats
 
 
@@ -303,13 +299,9 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
                               config.momentum, config.weight_decay)
     for epoch in range(config.teacher_epochs):
         opt.lr = lr_at(sched, epoch)
-        aug_rng = np.random.default_rng([config.seeds.teacher, epoch, 1])
-        for x, y in batches(ds, "train", config.batch_size, config.seeds.teacher, epoch):
-            x = augment(x, config.augment_strength, aug_rng, config.augment_flip)
+        for x, y in _augmented_batches(ds, config, config.seeds.teacher, epoch):
             loss = _named_term("hard", lambda: hard_loss(forward(teacher, Tensor(x)), y))
-            zero_grad(teacher.parameters)
-            backward(loss)
-            sgd_step(teacher.parameters, opt)
+            _update(teacher, loss, opt)
     teacher.freeze()
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
@@ -369,15 +361,12 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
 
     try:
         for epoch in range(config.epochs):
-            epoch_started = time.perf_counter()
             lr = lr_at(sched, epoch)
             opts["s1"].lr = opts["s2"].lr = lr
             sums = {name: np.zeros(4) for name in students}  # hard, teacher, peer, total
             entropy_sum = weight_sum = 0.0
             seen = 0
-            aug_rng = np.random.default_rng([config.seeds.shuffle, epoch, 1])
-            for x, y in batches(ds, "train", config.batch_size, config.seeds.shuffle, epoch):
-                x = augment(x, config.augment_strength, aug_rng, config.augment_flip)
+            for x, y in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
                 bd1, bd2, stats = train_step_dual(
                     teacher, students["s1"], students["s2"], (x, y), config,
                     opts["s1"], opts["s2"])
@@ -388,20 +377,18 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
                 entropy_sum += stats.entropy.sum()
                 weight_sum += stats.weight.sum()
                 seen += n
-            wall = time.perf_counter() - epoch_started
             for name, net in students.items():
                 train_eval = evaluate(net, ds, "train")
                 val_eval = evaluate(net, ds, "val")
                 means = sums[name] / seen
                 record = MetricsRecord(
-                    epoch=epoch, student=name,
-                    train_loss=float(means[3]), hard=float(means[0]),
+                    epoch=epoch, student=name, hard=float(means[0]),
                     teacher=float(means[1]), peer=float(means[2]), total=float(means[3]),
                     train_top1=train_eval["top1"],
                     val_top1=val_eval["top1"], val_top5=val_eval["top5"],
                     mean_entropy=float(entropy_sum / seen),
                     mean_weight=float(weight_sum / seen),
-                    lr=lr, wall_seconds=wall,
+                    lr=lr,
                 )
                 records.append(record)
                 if metrics_fh is not None:
@@ -420,9 +407,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
             save_checkpoint(net, run_dir / f"student_{name}_final.ukdc")
             snapshot = Network(net.layers, _params_from_arrays(net, best[name][1]))
             save_checkpoint(snapshot, run_dir / f"student_{name}_best.ukdc")
-        with open(run_dir / "summary.json", "w", encoding="ascii", newline="\n") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        _write_atomic(run_dir / "summary.json",
+                      (json.dumps(summary, indent=2) + "\n").encode("ascii"))
     return RunResult(run_dir, records, breakdowns, summary, teacher, students)
 
 
@@ -446,7 +432,7 @@ def _summarize(config, teacher, teacher_val, students, records, best, wall_total
             "final_val_top1": final[name].val_top1,
             "final_val_top5": final[name].val_top5,
             "best_val_top1": best[name][0],
-            "final_train_loss": final[name].train_loss,
+            "final_train_loss": final[name].total,
         }
     any_final = final["s1"]
     return {
@@ -565,12 +551,29 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
             for row, by in finals.items()}
     result = AblationResult(list(ABLATION_ROWS), list(seeds), finals, means, stds)
     if out_root is not None:
-        (Path(out_root) / "ablation.csv").write_text(result.csv_text(), encoding="ascii")
-        (Path(out_root) / "ablation.txt").write_text(result.table_text(), encoding="ascii")
+        _write_atomic(Path(out_root) / "ablation.csv", result.csv_text().encode("ascii"))
+        _write_atomic(Path(out_root) / "ablation.txt", result.table_text().encode("ascii"))
     return result
 
 
-# ---------------------------------------------------------------- checkpoints
+# ---------------------------------------------------------------- artifacts
+
+
+def _write_atomic(path, blob: bytes) -> None:
+    """Write blob to a temp file beside path, then rename it over path.
+
+    A failed write leaves neither a partial path nor the temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
 
 
 def save_checkpoint(net: Network, path) -> None:
@@ -583,7 +586,7 @@ def save_checkpoint(net: Network, path) -> None:
     for i in range(len(net.layers)):
         buf += net.params[f"weight_{i}"].data.astype("<f8").tobytes()
         buf += net.params[f"bias_{i}"].data.astype("<f8").tobytes()
-    Path(path).write_bytes(bytes(buf))
+    _write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Network:

@@ -1,12 +1,19 @@
 """Shared pytest plumbing: the acceptance-criteria summary block.
 
 Acceptance tests register one line per criterion; the hook prints them after
-the normal test report so the verdicts are visible without -s.
+the normal test report so the verdicts are visible without -s. A last line
+reports the size of the package: its source lines and public names.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 ACCEPTANCE_LINES = []
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -16,8 +23,20 @@ def acceptance_log():
     return log
 
 
+def _surface() -> str:
+    lines = sum(p.read_bytes().count(b"\n") for p in (SRC / "ukd").glob("*.py"))
+    # a fresh interpreter, so submodules imported by tests are not counted
+    count = subprocess.run(
+        [sys.executable, "-c",
+         "import ukd; print(sum(not n.startswith('_') for n in vars(ukd)))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.strip()
+    return f"surface: src/ukd {lines} lines, {count} public names"
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    terminalreporter.write_line(_surface())

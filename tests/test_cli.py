@@ -7,15 +7,19 @@ abort. Determinism is checked at the file-byte level.
 import hashlib
 import json
 import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ukd.cli import main, parse_config, render_config
 from ukd.data import DatasetSpec, generate, load_dataset
-from ukd.errors import SpecError
-from ukd.harness import TrainConfig, Seeds
+from ukd.distill import KL_DIRECTIONS
+from ukd.errors import ContractError, NumericError, SpecError
+from ukd.harness import MODES, TrainConfig, Seeds
 from ukd.nets import default_student1_spec
 
 TINY = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
@@ -97,10 +101,42 @@ def test_config_round_trip_nondefault_values():
     cfg = tiny_config(mode="dual", alpha=0.5, beta=0.25, gamma=0.25, tau=2.5,
                       eta0=0.05, momentum=0.8, weight_decay=3e-5,
                       kl_direction="conventional", augment_strength=0.0,
-                      augment_flip=True, seeds=Seeds.from_block(2),
+                      seeds=Seeds.from_block(2),
                       dataset=DatasetSpec(num_classes=4, samples_per_class=40,
                                           feature_dim=8, overlap_sigma=0.5,
                                           seed=2000))
+    parsed, _ = parse_config(render_config(cfg))
+    assert parsed == cfg
+
+
+_SCALAR_VALUES = {
+    bool: st.booleans(),
+    int: st.integers(min_value=0, max_value=10**6),
+    float: st.floats(min_value=0.0, allow_infinity=False),
+    str: st.sampled_from(MODES + KL_DIRECTIONS),
+}
+
+
+def _draw_scalars(data, obj):
+    """obj with each bool, int, float and str field redrawn where the result is valid."""
+    for f in fields(obj):
+        kind = type(getattr(obj, f.name))
+        if kind in _SCALAR_VALUES:
+            try:
+                obj = replace(obj, **{f.name: data.draw(_SCALAR_VALUES[kind], label=f.name)})
+            except SpecError:
+                pass
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_round_trip_any_scalar_fields(data):
+    # Fields are found by type, so a field added later is drawn here too.
+    seeds = _draw_scalars(data, Seeds.from_block(0))
+    dataset = replace(_draw_scalars(data, DatasetSpec()), seed=seeds.data)
+    base = TrainConfig(mode=data.draw(st.sampled_from(MODES)), seeds=seeds, dataset=dataset)
+    cfg = _draw_scalars(data, base)
     parsed, _ = parse_config(render_config(cfg))
     assert parsed == cfg
 
@@ -169,6 +205,34 @@ def test_train_without_mode_or_config_exits_2(capsys):
 
 def test_train_bad_tau_exits_2():
     assert main(["train", "--mode", "dual", "--tau", "0"] + TINY) == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "nan"), ("--beta", "inf"), ("--gamma", "inf"), ("--tau", "inf"),
+    ("--eta0", "nan"), ("--momentum", "nan"), ("--weight-decay", "inf"),
+    ("--augment-strength", "nan"),
+])
+def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, value):
+    def no_training(*args, **kwargs):
+        raise AssertionError("config was accepted")
+
+    monkeypatch.setattr("ukd.cli.train", no_training)
+    assert main(["train", "--mode", "dual", flag, value] + TINY) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error,code", [
+    (NumericError("loss diverged"), 3),
+    (ContractError("sgd_step called before gradients were populated"), 2),
+])
+def test_exit_code_follows_error_kind(monkeypatch, capsys, error, code):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("ukd.cli.train", failing)
+    assert main(["train", "--mode", "dual"] + TINY) == code
+    prefix = "numeric abort: " if code == 3 else "error: "
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_train_numeric_abort_exits_3(capsys):
@@ -269,6 +333,11 @@ def test_eval_command(tmp_path, capsys):
 def test_eval_missing_checkpoint_exits_2(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "no.ukdc"),
                  "--data", str(tmp_path / "no.ukdd")]) == 2
+
+
+def test_eval_directory_checkpoint_exits_2(tmp_path, capsys):
+    assert main(["eval", "--checkpoint", str(tmp_path), "--data", "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_ablate_single_seed_equals_manual_trains(tmp_path):

@@ -10,7 +10,6 @@ from ukd.data import (
     batches,
     bayes_oracle_accuracy,
     class_means,
-    export_csv,
     generate,
     load_dataset,
     nearest_mean_classify,
@@ -173,7 +172,7 @@ def test_batches_reject_bad_arguments_and_empty_split():
 
 def test_augment_identity_when_inactive():
     x = np.random.default_rng(3).uniform(-2, 2, (20, 8))
-    out = augment(x, 0.0, np.random.default_rng(1), flip=False)
+    out = augment(x, 0.0, np.random.default_rng(1))
     np.testing.assert_array_equal(out, x)
 
 
@@ -181,20 +180,9 @@ def test_augment_noise_mean_shift_bounded():
     rng = np.random.default_rng(21)
     sample = rng.uniform(-2, 2, 16)
     copies = np.tile(sample, (10_000, 1))
-    out = augment(copies, 0.3, np.random.default_rng(100), flip=False)
+    out = augment(copies, 0.3, np.random.default_rng(100))
     shift = np.abs(out.mean(axis=0) - sample)
     assert shift.max() < 3.0 * 0.3 / np.sqrt(10_000)
-
-
-def test_augment_flip_negates_roughly_half_per_gate():
-    x = np.random.default_rng(4).uniform(0.5, 2.0, (10_000, 8))  # strictly positive
-    out = augment(x, 0.0, np.random.default_rng(200), flip=True)
-    np.testing.assert_array_equal(np.abs(out), x)  # pure sign changes
-    flipped_rows = (out < 0).any(axis=1)
-    assert 0.45 < flipped_rows.mean() < 0.55
-    per_coord = (out[flipped_rows] < 0).mean()
-    assert 0.45 < per_coord < 0.55
-    np.testing.assert_array_equal(out[~flipped_rows], x[~flipped_rows])
 
 
 def test_augment_rejects_negative_strength():
@@ -249,15 +237,3 @@ def test_ukdd_rejects_corruption(tmp_path):
     bad_label.write_bytes(bytes(rogue_label))
     with pytest.raises(FormatError, match="label"):
         load_dataset(bad_label)
-
-
-def test_csv_export_shape_and_round_trip(tmp_path):
-    ds = generate(SMALL)
-    path = tmp_path / "ds.csv"
-    export_csv(ds, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "label," + ",".join(f"f{i}" for i in range(8))
-    assert len(lines) == 201
-    first = lines[1].split(",")
-    assert int(first[0]) == ds.labels[0]
-    np.testing.assert_array_equal(np.array([float(v) for v in first[1:]]), ds.features[0])

@@ -20,6 +20,7 @@ from ukd.errors import (
     ContractError,
     DistributionError,
     LabelError,
+    NumericError,
     ParameterError,
     ShapeError,
 )
@@ -386,6 +387,6 @@ def test_loss_breakdown_rejects_corrupt_components():
     with pytest.raises(ContractError):
         LossBreakdown(hard=-1.0, teacher=0.0, peer=0.0, total=0.0,
                       alpha=1.0, beta=0.0, gamma=0.0, tau=1.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(NumericError):
         LossBreakdown(hard=np.inf, teacher=0.0, peer=0.0, total=np.inf,
                       alpha=1.0, beta=0.0, gamma=0.0, tau=1.0)

@@ -5,8 +5,10 @@ scalar arithmetic, bitwise mode reductions, teacher immutability, run
 reproducibility down to file bytes, and the checkpoint format.
 """
 
+import errno
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from ukd.harness import (
     save_checkpoint,
     train,
     train_step_dual,
-    train_step_single,
 )
 from ukd.nets import LayerSpec, Network, build, compression_ratio, forward, param_count
 from ukd.optim import CosineSchedule, SgdState, lr_at, sgd_step
@@ -270,25 +271,27 @@ def test_dual_step_stats_within_bounds():
                                + bd.gamma * bd.peer)) <= 1e-12
 
 
-def test_dual_without_peer_equals_two_single_steps():
-    # gamma=0 must make the dual step literally two independent updates
+def test_dual_without_peer_updates_students_independently():
+    # gamma=0 must make the dual step two independent updates: swapping in a
+    # different partner leaves a student's parameters and velocity untouched
     ds = generate(SMALL_DATA)
-    dual_cfg = small_config("dual", gamma=0.0)
-    single_cfg = small_config("uncertainty_kd", alpha=0.4, beta=0.4)
-    teacher, _ = pretrain_teacher(dual_cfg, ds)
-    a1 = build(dual_cfg.student1_spec, dual_cfg.seeds.student1)
-    a2 = build(dual_cfg.student2_spec, dual_cfg.seeds.student2)
-    b1, b2 = clone_net(a1), clone_net(a2)
+    cfg = small_config("dual", gamma=0.0)
+    teacher, _ = pretrain_teacher(cfg, ds)
+    a1 = build(cfg.student1_spec, cfg.seeds.student1)
+    a2 = build(cfg.student2_spec, cfg.seeds.student2)
+    b1, b2 = clone_net(a1), build(cfg.student2_spec, 99)
+    c1, c2 = build(cfg.student1_spec, 98), clone_net(a2)
+    assert net_digest(b2) != net_digest(a2) and net_digest(c1) != net_digest(a1)
     mk = lambda net: SgdState.for_params(net.parameters, 0.1, 0.9, 1e-4)
-    oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
+    opts = {id(net): mk(net) for net in (a1, a2, b1, b2, c1, c2)}
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_dual(teacher, a1, a2, batch, dual_cfg, oa1, oa2)
-        train_step_single(teacher, b1, batch, single_cfg, ob1)
-        train_step_single(teacher, b2, batch, single_cfg, ob2)
+        for n1, n2 in ((a1, a2), (b1, b2), (c1, c2)):
+            train_step_dual(teacher, n1, n2, batch, cfg, opts[id(n1)], opts[id(n2)])
     assert net_digest(a1) == net_digest(b1)
-    assert net_digest(a2) == net_digest(b2)
-    for va, vb in zip(oa1.velocity + oa2.velocity, ob1.velocity + ob2.velocity):
-        assert va.tobytes() == vb.tobytes()
+    assert net_digest(a2) == net_digest(c2)
+    for (x, y) in ((a1, b1), (a2, c2)):
+        for vx, vy in zip(opts[id(x)].velocity, opts[id(y)].velocity):
+            assert vx.tobytes() == vy.tobytes()
 
 
 def test_hard_only_step_is_plain_supervised():
@@ -317,17 +320,19 @@ def test_baseline_equals_uncertainty_with_unit_weights(monkeypatch):
     kd_cfg = small_config("baseline_kd")
     ukd_cfg = small_config("uncertainty_kd")
     teacher, _ = pretrain_teacher(kd_cfg, ds)
-    a = build(kd_cfg.student1_spec, kd_cfg.seeds.student1)
-    b = clone_net(a)
-    oa = SgdState.for_params(a.parameters, 0.1, 0.9, 1e-4)
-    ob = SgdState.for_params(b.parameters, 0.1, 0.9, 1e-4)
+    a1 = build(kd_cfg.student1_spec, kd_cfg.seeds.student1)
+    a2 = build(kd_cfg.student2_spec, kd_cfg.seeds.student2)
+    b1, b2 = clone_net(a1), clone_net(a2)
+    mk = lambda net: SgdState.for_params(net.parameters, 0.1, 0.9, 1e-4)
+    oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_single(teacher, a, batch, kd_cfg, oa)
+        train_step_dual(teacher, a1, a2, batch, kd_cfg, oa1, oa2)
     monkeypatch.setattr("ukd.harness.confidence_for_mode",
                         lambda mode, stats: np.ones_like(stats.weight))
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_single(teacher, b, batch, ukd_cfg, ob)
-    assert net_digest(a) == net_digest(b)
+        train_step_dual(teacher, b1, b2, batch, ukd_cfg, ob1, ob2)
+    assert net_digest(a1) == net_digest(b1)
+    assert net_digest(a2) == net_digest(b2)
 
 
 def test_diverging_term_names_itself(monkeypatch):
@@ -434,7 +439,9 @@ def test_train_record_and_row_counts(tmp_path):
     result = train(cfg, tmp_path / "run")
     assert len(result.records) == 2 * cfg.epochs
     lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
-    assert lines[0] == METRICS_HEADER
+    assert lines[0] == METRICS_HEADER == (
+        "epoch,student,hard,teacher,peer,total,train_top1,val_top1,val_top5,"
+        "mean_entropy,mean_weight,lr")
     assert len(lines) == 1 + 2 * cfg.epochs
     for epoch in range(cfg.epochs):
         students = [r.student for r in result.records if r.epoch == epoch]
@@ -462,14 +469,6 @@ def test_train_is_bit_reproducible(tmp_path):
                  "student_s2_final.ukdc", "student_s1_best.ukdc",
                  "student_s2_best.ukdc"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
-def test_train_wall_seconds_sentinel(tmp_path):
-    cfg = small_config("dual", epochs=2)
-    result = train(cfg, tmp_path / "run")
-    rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
-    assert all(row.endswith(",0.0") for row in rows)
-    assert all(r.wall_seconds > 0.0 for r in result.records)  # real timing in memory
 
 
 def test_train_teacher_unchanged_and_shareable(tmp_path):
@@ -542,9 +541,9 @@ def test_validation_pipeline_never_augments(monkeypatch):
     from ukd.data import augment as real_augment
     calls = []
 
-    def counting(x, strength, rng, flip=False):
+    def counting(x, strength, rng):
         calls.append(x.shape[0])
-        return real_augment(x, strength, rng, flip)
+        return real_augment(x, strength, rng)
 
     monkeypatch.setattr(hmod, "augment", counting)
     cfg = small_config("dual", epochs=2, teacher_epochs=2)
@@ -595,6 +594,49 @@ def test_checkpoint_round_trip_any_architecture(widths, seed):
         save_checkpoint(load_checkpoint(p1), p2)
         with open(p1, "rb") as f1, open(p2, "rb") as f2:
             assert f1.read() == f2.read()
+
+
+class _HalfWriter:
+    """A file that stores half of its first write, then reports a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def write(self, blob):
+        self._fh.write(blob[: len(blob) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
+    import ukd.harness as hmod
+    net = build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], 1)
+    kept = tmp_path / "kept.ukdc"
+    save_checkpoint(net, kept)
+    before = kept.read_bytes()
+    opened = []
+
+    def full_disk(path, mode):
+        opened.append(Path(path))
+        return _HalfWriter(open(path, mode))
+
+    monkeypatch.setattr(hmod, "open", full_disk, raising=False)
+    other = build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], 2)
+    for target in (kept, tmp_path / "fresh.ukdc"):
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(other, target)
+    assert [p.parent for p in opened] == [tmp_path, tmp_path]  # temp files beside target
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ukdc"]
+    assert kept.read_bytes() == before
 
 
 def _ckpt_bytes(tmp_path):
