@@ -4,8 +4,8 @@ ladder, checkpoint evaluation, and run-comparison reports.
 Every command is deterministic given its flags; all randomness is seeded
 through the config. Exit codes are a stable contract: 0 success, 2 for
 usage, config or OS errors and API misuse, 3 for a numeric abort
-(divergence). Config files mirror TrainConfig; command-line flags win over
-config-file values.
+(divergence). A run's TrainConfig is built once, from a config file's values
+with the flags given merged over them; each command takes only the flags it reads.
 
 The default output root is ./runs, overridable with UKD_RUN_ROOT.
 No command writes into a non-empty directory it did not just create,
@@ -20,11 +20,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from .data import DatasetSpec, bayes_oracle_accuracy, generate, load_dataset, save_dataset
+from .data import (
+    DatasetSpec,
+    _write_atomic,
+    bayes_oracle_accuracy,
+    generate,
+    load_dataset,
+    save_dataset,
+)
+from .distill import KL_DIRECTIONS
 from .errors import DataError, NumericError, SpecError, UkdError
 from .harness import (
     Seeds,
@@ -40,6 +48,8 @@ from .nets import LayerSpec, compression_ratio, param_count
 
 MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
               "dual": "dual"}
+# The seed block of a run given neither --seed-block nor a [seeds] section.
+_DEFAULT_BLOCK = 0
 
 
 # ------------------------------------------------------------- config files
@@ -58,7 +68,6 @@ def _scalar_fields(cls) -> dict[str, type]:
 _FIELDS = {"run": _scalar_fields(TrainConfig), "dataset": _scalar_fields(DatasetSpec),
            "seeds": _scalar_fields(Seeds)}
 _ARCH_KEYS = ("teacher", "student1", "student2")
-_KNOWN_SECTIONS = {**_FIELDS, "run": [*_FIELDS["run"], "out"], "architecture": _ARCH_KEYS}
 
 
 def _spec_from_widths(in_dim: int, out_dim: int, widths: list[int]) -> list[LayerSpec]:
@@ -102,95 +111,83 @@ def _convert(section: str, key: str, raw: str, kind):
 
 
 def _parse_widths(raw: str) -> list[int]:
-    raw = raw.strip()
-    if not raw:
-        return []
-    return [_convert("architecture", "widths", w, int) for w in raw.split(",")]
+    return [int(w) for w in raw.split(",")] if raw.strip() else []
 
 
-def parse_config(text: str) -> tuple[TrainConfig, str | None]:
-    """Config file -> (TrainConfig, output dir). Unknown keys are rejected."""
+# Every config file section, with the converter of each of its keys.
+_SECTIONS = {**_FIELDS, "run": {**_FIELDS["run"], "out": str},
+             "architecture": dict.fromkeys(_ARCH_KEYS, _parse_widths)}
+
+
+def _read_config(text: str) -> tuple[dict[str, dict], str | None]:
+    """Config file -> (its values per section, output dir). Unknown keys are rejected."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
     except configparser.Error as err:
         raise SpecError(f"malformed config: {err}") from None
+    given = {section: {} for section in _SECTIONS}
     for section in cp.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SECTIONS:
             raise SpecError(f"unknown config section [{section}]")
-        for key in cp[section]:
-            if key not in _KNOWN_SECTIONS[section]:
+        for key, raw in cp[section].items():
+            if key not in _SECTIONS[section]:
                 raise SpecError(f"unknown key {key!r} in [{section}]")
-    if not cp.has_option("run", "mode"):
-        raise SpecError("config missing mode in [run]")
-    given = {
-        section: {key: _convert(section, key, cp[section][key], kind)
-                  for key, kind in kinds.items() if cp.has_option(section, key)}
-        for section, kinds in _FIELDS.items()
-    }
-    dataset = DatasetSpec(**given["dataset"])
-    if cp.has_section("seeds"):
+            given[section][key] = _convert(section, key, raw, _SECTIONS[section][key])
+    return given, given["run"].pop("out", None)
+
+
+def _build_config(given: dict[str, dict], block: int | None) -> TrainConfig:
+    """The one constructor of a run's TrainConfig, from values per section.
+
+    A seed block stands in for [seeds] and the dataset seed. The dataset
+    seed defaults to the data stream.
+    """
+    if given["run"].get("mode") is None:
+        raise SpecError("no mode: pass --mode or --config with mode in [run]")
+    dataset = given["dataset"]
+    if block is not None:
+        seeds = Seeds.from_block(block)
+        dataset = {**dataset, "seed": seeds.data}
+    elif given["seeds"]:
+        missing = [key for key in _FIELDS["seeds"] if key not in given["seeds"]]
+        if missing:
+            raise SpecError(f"[seeds] lacks {', '.join(missing)}: "
+                            "give all five streams or none")
         seeds = Seeds(**given["seeds"])
     else:
-        seeds = Seeds.from_block(0)
+        seeds = Seeds.from_block(_DEFAULT_BLOCK)
+    dataset = DatasetSpec(**{"seed": seeds.data, **dataset})
+    specs = {f"{key}_spec": _spec_from_widths(dataset.feature_dim, dataset.num_classes, widths)
+             for key, widths in given["architecture"].items()}
+    return TrainConfig(seeds=seeds, dataset=dataset, **given["run"], **specs)
 
-    specs = {}
-    for key in _ARCH_KEYS:
-        if cp.has_option("architecture", key):
-            widths = _parse_widths(cp["architecture"][key])
-            specs[f"{key}_spec"] = _spec_from_widths(
-                dataset.feature_dim, dataset.num_classes, widths)
 
-    out = cp["run"].get("out") if cp.has_option("run", "out") else None
-    config = TrainConfig(seeds=seeds, dataset=dataset, **given["run"], **specs)
-    return config, out
+def parse_config(text: str) -> tuple[TrainConfig, str | None]:
+    """Config file -> (TrainConfig, output dir). Unknown keys are rejected."""
+    given, out = _read_config(text)
+    return _build_config(given, None), out
 
 
 # -------------------------------------------------------------- assembling
 
 
-_DATASET_FLAGS = (("classes", "num_classes"), ("per_class", "samples_per_class"),
-                  ("dim", "feature_dim"), ("sigma", "overlap_sigma"),
-                  ("val_fraction", "val_fraction"))
+def _given(args, section: str) -> dict:
+    """The flags given for one config section's fields, by field name."""
+    return {key: value for key, value in vars(args).items() if key in _FIELDS[section]}
 
 
 def _assemble_config(args, default_mode: str | None = None) -> tuple[TrainConfig, str | None]:
-    """Config file plus flag overrides -> a validated TrainConfig. Flags win."""
-    # every [run] field but mode has a flag whose dest is the field name
-    overrides = {key: getattr(args, key) for key in _FIELDS["run"]
-                 if key != "mode" and getattr(args, key, None) is not None}
-
-    mode_flag = getattr(args, "mode", None)
-    block = getattr(args, "seed_block", None)
-
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        config, out = parse_config(Path(config_path).read_text(encoding="utf-8"))
-        seeds = config.seeds if block is None else Seeds.from_block(block)
-        dataset = config.dataset
-        if block is not None:
-            dataset = replace(dataset, seed=seeds.data)
-        ds_over = {field: getattr(args, attr)
-                   for attr, field in _DATASET_FLAGS
-                   if getattr(args, attr, None) is not None}
-        if ds_over:
-            dataset = replace(dataset, **ds_over)
-        mode = MODE_FLAGS[mode_flag] if mode_flag else config.mode
-        config = replace(config, mode=mode, seeds=seeds, dataset=dataset, **overrides)
-    else:
-        mode = MODE_FLAGS[mode_flag] if mode_flag else default_mode
-        if mode is None:
-            raise SpecError("either --mode or --config is required")
-        seeds = Seeds.from_block(block if block is not None else 0)
-        ds_kw = {field: getattr(args, attr)
-                 for attr, field in _DATASET_FLAGS
-                 if getattr(args, attr, None) is not None}
-        dataset = DatasetSpec(seed=seeds.data, **ds_kw)
-        config = TrainConfig(mode=mode, seeds=seeds, dataset=dataset, **overrides)
-        out = None
-    if getattr(args, "out", None) is not None:
-        out = args.out
-    return config, out
+    """Config file, then the flags given over its values -> (TrainConfig, output dir)."""
+    flags = vars(args)  # only flags given: a run flag's default is argparse.SUPPRESS
+    given, out = _read_config(Path(flags["config"]).read_text(encoding="utf-8")
+                              if "config" in flags else "")
+    for section in _FIELDS:
+        given[section].update(_given(args, section))
+    if "mode" in flags:
+        given["run"]["mode"] = MODE_FLAGS[flags["mode"]]
+    given["run"].setdefault("mode", default_mode)
+    return _build_config(given, flags.get("seed_block")), flags.get("out", out)
 
 
 def _run_root() -> Path:
@@ -209,13 +206,10 @@ def _claim_dir(path) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    spec = DatasetSpec(num_classes=args.classes, samples_per_class=args.per_class,
-                       feature_dim=args.dim, overlap_sigma=args.sigma,
-                       seed=args.seed, val_fraction=args.val_fraction)
+    spec = DatasetSpec(**_given(args, "dataset"))
     ds = generate(spec)
     out = Path(args.output)
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(f"wrote {out}")
     print(f"samples: {ds.features.shape[0]}")
@@ -263,7 +257,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data, val_fraction=args.val_fraction)
+    ds = load_dataset(args.data, **_given(args, "dataset"))
     result = evaluate(net, ds, args.split)
     print(f"top1: {result['top1']:.4f}")
     print(f"top5: {result['top5']:.4f}")
@@ -301,19 +295,15 @@ def cmd_report(args) -> int:
         table.append(f"{name:<9}{base:>10.4f}{ours:>10.4f}{ours - base:>+10.4f}")
     text = "\n".join(table) + "\n"
     print(text, end="")
-    (out / "report.txt").write_text(text, encoding="ascii")
+    _write_atomic(out / "report.txt", text.encode("ascii"))
 
+    columns = ("epoch", "val_top1", "val_top5", "mean_entropy", "mean_weight")
     for label, rows in (("baseline", base_rows), ("ours", ours_rows)):
         for student in sorted(base_summary["students"]):
-            path = out / f"series_{label}_{student}.csv"
-            with open(path, "w", encoding="ascii", newline="\n") as fh:
-                fh.write("epoch,val_top1,val_top5,mean_entropy,mean_weight\n")
-                for row in rows:
-                    if row["student"] != student:
-                        continue
-                    fh.write(",".join(row[k] for k in (
-                        "epoch", "val_top1", "val_top5",
-                        "mean_entropy", "mean_weight")) + "\n")
+            lines = [",".join(columns)] + [",".join(row[k] for k in columns)
+                                           for row in rows if row["student"] == student]
+            _write_atomic(out / f"series_{label}_{student}.csv",
+                          ("\n".join(lines) + "\n").encode("ascii"))
 
     for spec in args.compression or []:
         parts = spec.split("/")
@@ -330,47 +320,53 @@ def cmd_report(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser, with_mode: bool = True) -> None:
-    if with_mode:
-        p.add_argument("--mode", choices=sorted(MODE_FLAGS),
-                       help="training mode: hard=labels only, kd=fixed-weight "
-                            "distillation, ukd=confidence-weighted, dual=two "
-                            "students with peer term (default: from config)")
-    p.add_argument("--config", metavar="FILE", help="config file (flags win)")
-    p.add_argument("--out", metavar="DIR", help="output directory "
-                   "(default: $UKD_RUN_ROOT or ./runs, auto-named)")
-    p.add_argument("--seed-block", type=int, metavar="N",
-                   help="derive the five seed streams from block N: data=N*1000, "
-                        "teacher=+1, student1=+2, student2=+3, shuffle=+4 (default: 0)")
-    p.add_argument("--alpha", type=float, help="hard-label loss weight "
-                   "(default: per mode; dual: 0.4)")
-    p.add_argument("--beta", type=float, help="teacher distillation weight "
-                   "(default: per mode; dual: 0.4)")
-    p.add_argument("--gamma", type=float, help="peer distillation weight "
-                   "(default: per mode; dual: 0.2)")
-    p.add_argument("--tau", type=float, help="softening temperature (default: 4.0)")
-    p.add_argument("--epochs", type=int, help="student epochs (default: 30)")
-    p.add_argument("--batch-size", type=int, help="batch size (default: 64)")
-    p.add_argument("--eta0", type=float, help="initial learning rate (default: 0.1)")
-    p.add_argument("--momentum", type=float, help="SGD momentum (default: 0.9)")
-    p.add_argument("--weight-decay", type=float,
-                   help="coupled L2 weight decay (default: 0.0001)")
-    p.add_argument("--kl-direction", choices=("as_paper", "conventional"),
-                   help="KL argument order (default: as_paper)")
-    p.add_argument("--teacher-epochs", type=int,
-                   help="teacher pretraining epochs (default: 30)")
-    p.add_argument("--augment-strength", type=float,
-                   help="train-time Gaussian noise sigma (default: 0.1)")
-    _add_dataset_flags(p)
+# The flags commands share, by dest: (flag, help, argparse settings). A config
+# field's flag has the field name as dest and shows the dataclass default.
+_FLAGS = {
+    "mode": ("--mode", "training mode: hard=labels only, kd=fixed-weight distillation, "
+             "ukd=confidence-weighted, dual=two students with peer term (default: from config)",
+             {"choices": sorted(MODE_FLAGS)}),
+    "config": ("--config", "config file (flags win)", {"metavar": "FILE"}),
+    "out": ("--out", "output directory (default: $UKD_RUN_ROOT or ./runs, auto-named)",
+            {"metavar": "DIR"}),
+    "seed_block": ("--seed-block", "derive the five seed streams from block N: data=N*1000, "
+                   "teacher=+1, student1=+2, student2=+3, shuffle=+4 "
+                   f"(default: {_DEFAULT_BLOCK})", {"type": int, "metavar": "N"}),
+    "alpha": ("--alpha", "hard-label loss weight", {}),
+    "beta": ("--beta", "teacher distillation weight", {}),
+    "gamma": ("--gamma", "peer distillation weight", {}),
+    "tau": ("--tau", "softening temperature", {}),
+    "epochs": ("--epochs", "student epochs", {}),
+    "batch_size": ("--batch-size", "batch size", {}),
+    "eta0": ("--eta0", "initial learning rate", {}),
+    "momentum": ("--momentum", "SGD momentum", {}),
+    "weight_decay": ("--weight-decay", "coupled L2 weight decay", {}),
+    "kl_direction": ("--kl-direction", "KL argument order",
+                     {"choices": KL_DIRECTIONS, "metavar": None}),
+    "teacher_epochs": ("--teacher-epochs", "teacher pretraining epochs", {}),
+    "augment_strength": ("--augment-strength", "train-time Gaussian noise sigma", {}),
+    "num_classes": ("--classes", "number of classes", {}),
+    "samples_per_class": ("--per-class", "samples per class", {}),
+    "feature_dim": ("--dim", "feature dimension", {}),
+    "overlap_sigma": ("--sigma", "class overlap sigma", {}),
+    "seed": ("--seed", "dataset seed", {}),
+    "val_fraction": ("--val-fraction", "held-out fraction per class", {}),
+}
 
 
-def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--classes", type=int, help="number of classes (default: 10)")
-    p.add_argument("--per-class", type=int, help="samples per class (default: 500)")
-    p.add_argument("--dim", type=int, help="feature dimension (default: 16)")
-    p.add_argument("--sigma", type=float, help="class overlap sigma (default: 0.6)")
-    p.add_argument("--val-fraction", type=float,
-                   help="held-out fraction per class (default: 0.1)")
+def _add_flags(p: argparse.ArgumentParser, dests) -> None:
+    """Add the flags of dests; a flag not given stays out of the parsed namespace."""
+    kinds = {**_FIELDS["run"], **_FIELDS["dataset"]}
+    defaults = {f.name: f.default for cls in (TrainConfig, DatasetSpec) for f in fields(cls)}
+    for dest in dests:
+        flag, text, kw = _FLAGS[dest]
+        if dest in kinds and dest != "mode":  # --mode takes a short name, not the field value
+            shown = defaults[dest]
+            if shown is None:  # the loss weights follow the mode
+                shown = f"per mode; dual: {getattr(TrainConfig(mode='dual'), dest)}"
+            text = f"{text} (default: {shown})"
+            kw = {"type": kinds[dest], "metavar": flag[2:].replace("-", "_").upper(), **kw}
+        p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=text, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,42 +374,38 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ukd",
         description="Uncertainty-weighted dual-student distillation experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
+    run_flags = [key for key in _FLAGS if key != "seed"]  # a run's dataset seed follows its seeds
 
     p = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
-    p.add_argument("--classes", type=int, default=10, help="number of classes (default: 10)")
-    p.add_argument("--per-class", type=int, default=500, help="samples per class (default: 500)")
-    p.add_argument("--dim", type=int, default=16, help="feature dimension (default: 16)")
-    p.add_argument("--sigma", type=float, default=0.6, help="class overlap sigma (default: 0.6)")
-    p.add_argument("--seed", type=int, default=0, help="dataset seed (default: 0)")
-    p.add_argument("--val-fraction", type=float, default=0.1,
-                   help="held-out fraction per class (default: 0.1)")
+    _add_flags(p, _FIELDS["dataset"])
     p.add_argument("-o", "--output", required=True, metavar="FILE",
                    help="output dataset file (.ukdd)")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain-teacher", help="train and save a frozen teacher")
-    _add_hyper_flags(p, with_mode=False)
+    _add_flags(p, [key for key in run_flags if key not in (  # what the teacher ignores
+        "mode", "alpha", "beta", "gamma", "tau", "epochs", "kl_direction")])
     p.set_defaults(func=cmd_pretrain_teacher)
 
     p = sub.add_parser("train", help="one full training run")
-    _add_hyper_flags(p)
+    _add_flags(p, run_flags)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("ablate", help="the 4-row loss-component ladder")
-    _add_hyper_flags(p, with_mode=False)
+    _add_flags(p, [key for key in run_flags  # each row sets these itself
+                   if key not in ("mode", "alpha", "beta", "gamma", "seed_block")])
     p.add_argument("--seeds", type=int, default=5,
-                   help="number of seed blocks, 0..k-1 (default: 5)")
+                   help="number of seed blocks, 0..k-1 (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel runs across seed blocks (default: 1)")
+                   help="parallel runs across seed blocks (default: %(default)s)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     p.add_argument("--checkpoint", required=True, metavar="FILE", help=".ukdc file")
     p.add_argument("--data", required=True, metavar="FILE", help=".ukdd file")
     p.add_argument("--split", choices=("train", "val"), default="val",
-                   help="split to score (default: val)")
-    p.add_argument("--val-fraction", type=float, default=0.1,
-                   help="held-out fraction used to split the file (default: 0.1)")
+                   help="split to score (default: %(default)s)")
+    _add_flags(p, ["val_fraction"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="compare two runs and emit plot series")

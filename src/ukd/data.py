@@ -14,8 +14,10 @@ the identical split and statistics.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -191,14 +193,29 @@ def nearest_mean_classify(points: np.ndarray, means: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- file formats
 
 
+def _write_atomic(path, blob: bytes) -> None:
+    """Write blob to a temp file beside path, then rename it over path.
+
+    A failed write leaves neither a partial path nor the temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Flat binary export: UKDD magic, version, C, N, dim, labels, raw features."""
     n, dim = ds.features.shape
-    with open(path, "wb") as fh:
-        fh.write(UKDD_MAGIC)
-        fh.write(struct.pack("<IIII", UKDD_VERSION, ds.num_classes, n, dim))
-        fh.write(ds.labels.astype("<u4").tobytes())
-        fh.write(ds.features.astype("<f8").tobytes())
+    _write_atomic(path, b"".join([
+        UKDD_MAGIC, struct.pack("<IIII", UKDD_VERSION, ds.num_classes, n, dim),
+        ds.labels.astype("<u4").tobytes(), ds.features.astype("<f8").tobytes()]))
 
 
 def load_dataset(path, val_fraction: float = 0.1) -> Dataset:

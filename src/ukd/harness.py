@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -25,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetSpec, augment, batches, generate
+from .data import Dataset, DatasetSpec, _write_atomic, augment, batches, generate
 from .distill import (
+    KL_DIRECTIONS,
     LossBreakdown,
     UncertaintyStats,
     hard_loss,
@@ -50,8 +50,6 @@ from .nets import (
 )
 from .optim import CosineSchedule, SgdState, lr_at, sgd_step
 
-MODES = ("hard_only", "baseline_kd", "uncertainty_kd", "dual")
-
 # Loss weights per mode: (alpha, beta, gamma).
 MODE_WEIGHTS = {
     "hard_only": (1.0, 0.0, 0.0),
@@ -59,8 +57,9 @@ MODE_WEIGHTS = {
     "uncertainty_kd": (0.3, 0.7, 0.0),
     "dual": (0.4, 0.4, 0.2),
 }
-
-ABLATION_ROWS = ("hard_only", "baseline_kd", "uncertainty_kd", "dual")
+MODES = tuple(MODE_WEIGHTS)
+# The ladder adds one loss component per row, in the order of MODES.
+ABLATION_ROWS = MODES
 
 UKDC_MAGIC = b"UKDC"
 UKDC_VERSION = 1
@@ -143,7 +142,7 @@ class TrainConfig:
                 raise SpecError(f"{name} must be >= 1")
         if self.momentum < 0 or self.weight_decay < 0 or self.augment_strength < 0:
             raise SpecError("momentum, weight_decay, augment_strength must be nonnegative")
-        if self.kl_direction not in ("as_paper", "conventional"):
+        if self.kl_direction not in KL_DIRECTIONS:
             raise SpecError(f"kl_direction {self.kl_direction!r} invalid")
         if self.dataset.seed != self.seeds.data:
             raise SpecError(
@@ -557,23 +556,6 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
 
 
 # ---------------------------------------------------------------- artifacts
-
-
-def _write_atomic(path, blob: bytes) -> None:
-    """Write blob to a temp file beside path, then rename it over path.
-
-    A failed write leaves neither a partial path nor the temp file behind.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
 
 
 def save_checkpoint(net: Network, path) -> None:

@@ -2,9 +2,10 @@
 
 Acceptance tests register one line per criterion; the hook prints them after
 the normal test report so the verdicts are visible without -s. A last line
-reports the size of the package: its source lines and public names.
+reports the size of the package: its source lines, public names and CLI options.
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -31,7 +32,13 @@ def _surface() -> str:
          "import ukd; print(sum(not n.startswith('_') for n in vars(ukd)))"],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout.strip()
-    return f"surface: src/ukd {lines} lines, {count} public names"
+    from ukd.cli import build_parser
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices.values()
+    options = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+                  for command in commands for a in command._actions)
+    return f"surface: src/ukd {lines} lines, {count} public names, {options} cli options"
 
 
 def pytest_terminal_summary(terminalreporter):

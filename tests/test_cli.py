@@ -15,15 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukd.cli import main, parse_config, render_config
+from ukd.cli import _assemble_config, build_parser, main, parse_config, render_config
 from ukd.data import DatasetSpec, generate, load_dataset
 from ukd.distill import KL_DIRECTIONS
 from ukd.errors import ContractError, NumericError, SpecError
 from ukd.harness import MODES, TrainConfig, Seeds
 from ukd.nets import default_student1_spec
 
-TINY = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
-        "--epochs", "2", "--teacher-epochs", "2", "--batch-size", "32"]
+TINY_TEACHER = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
+                "--teacher-epochs", "2", "--batch-size", "32"]
+TINY = TINY_TEACHER + ["--epochs", "2"]
 
 
 @pytest.fixture(autouse=True)
@@ -129,16 +130,29 @@ def _draw_scalars(data, obj):
     return obj
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_config_round_trip_any_scalar_fields(data):
+def _draw_config(data):
     # Fields are found by type, so a field added later is drawn here too.
     seeds = _draw_scalars(data, Seeds.from_block(0))
     dataset = replace(_draw_scalars(data, DatasetSpec()), seed=seeds.data)
     base = TrainConfig(mode=data.draw(st.sampled_from(MODES)), seeds=seeds, dataset=dataset)
-    cfg = _draw_scalars(data, base)
+    return _draw_scalars(data, base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_config_round_trip_any_scalar_fields(data):
+    cfg = _draw_config(data)
     parsed, _ = parse_config(render_config(cfg))
     assert parsed == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_train_config_file_assembles_to_parsed_config(data):
+    text = render_config(_draw_config(data), out="drawn")
+    Path("drawn.cfg").write_text(text)  # the run_root fixture made cwd a tmp dir
+    args = build_parser().parse_args(["train", "--config", "drawn.cfg"])
+    assert _assemble_config(args) == parse_config(text)
 
 
 def test_config_unknown_key_rejected():
@@ -273,6 +287,58 @@ def test_flags_override_config(tmp_path):
     assert len(lines) == 1 + 2 * 3  # three epochs, not the config's two
 
 
+def _dims(spec):
+    return [spec[0][0]] + [layer[1] for layer in spec]
+
+
+@pytest.mark.parametrize("architecture,widths", [
+    ("", {"teacher": [128, 128, 128], "student1": [64, 64], "student2": [32]}),
+    ("[architecture]\nteacher = 32\nstudent1 = 24,12\nstudent2 = 16\n",
+     {"teacher": [32], "student1": [24, 12], "student2": [16]}),
+])
+def test_dataset_flags_shape_the_specs_of_a_config_file(tmp_path, architecture, widths):
+    # the file describes 16 features and 10 classes; the flags ask for 8 and 4
+    text = render_config(TrainConfig(mode="dual", epochs=1, teacher_epochs=1, batch_size=32,
+                                     dataset=DatasetSpec(samples_per_class=40)))
+    path = tmp_path / "run.cfg"
+    path.write_text(text[: text.index("[architecture]")] + architecture)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--classes", "4", "--dim", "8",
+                 "--out", str(out)]) == 0
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    for name, hidden in widths.items():
+        assert _dims(echo[f"{name}_spec"]) == [8, *hidden, 4]
+
+
+@pytest.mark.parametrize("dataset_seed,code", [(None, 0), (5, 2)])
+def test_dataset_seed_defaults_to_the_data_stream(tmp_path, capsys, dataset_seed, code):
+    text = render_config(tiny_config(mode="dual", seeds=Seeds.from_block(1), dataset=DatasetSpec(
+        num_classes=4, samples_per_class=40, feature_dim=8, overlap_sigma=0.5, seed=1000)))
+    explicit = "" if dataset_seed is None else f"seed = {dataset_seed}\n"
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace("seed = 1000\n", explicit))
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == code
+    if code == 0:
+        assert json.loads((out / "summary.json").read_text())["config"]["dataset"]["seed"] == 1000
+    else:
+        assert "must equal seeds.data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dropped", [["shuffle"], ["teacher", "student2"]])
+def test_partial_seeds_section_exits_2_naming_missing_streams(tmp_path, capsys, dropped):
+    text = render_config(tiny_config(mode="dual"))
+    text = text[: text.index("[architecture]")]  # its keys share names with seed streams
+    for key in dropped:
+        text = re.sub(rf"^{key} = \d+\n", "", text, flags=re.MULTILINE)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["train", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [seeds] lacks")
+    assert all(key in err for key in dropped)
+
+
 def test_seed_block_flag_rewires_all_streams(tmp_path):
     out = tmp_path / "blk"
     assert main(["train", "--mode", "dual", "--seed-block", "7",
@@ -302,12 +368,21 @@ def test_train_help_lists_defaults(capsys):
 
 def test_pretrain_teacher_command(tmp_path, capsys):
     out = tmp_path / "teach"
-    rc = main(["pretrain-teacher", "--out", str(out)] + TINY)
+    rc = main(["pretrain-teacher", "--out", str(out)] + TINY_TEACHER)
     assert rc == 0
     printed = capsys.readouterr().out
     assert (out / "teacher.ukdc").exists()
     assert "teacher val_top1:" in printed
     assert "teacher params:" in printed
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "0.5"), ("--beta", "0.5"), ("--gamma", "0.5"), ("--tau", "2.0"),
+    ("--epochs", "0"), ("--kl-direction", "conventional"),
+])
+def test_pretrain_teacher_rejects_flags_it_does_not_read(capsys, flag, value):
+    assert main(["pretrain-teacher", flag, value] + TINY_TEACHER) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_eval_command(tmp_path, capsys):
@@ -353,6 +428,12 @@ def test_ablate_single_seed_equals_manual_trains(tmp_path):
                      "--out", str(manual)] + TINY) == 0
         ladder_csv = root / f"{mode}-block0" / "metrics.csv"
         assert ladder_csv.read_bytes() == (manual / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--seed-block"])
+def test_ablate_rejects_flags_each_row_sets(capsys, flag):
+    assert main(["ablate", "--seeds", "1", flag, "1"] + TINY) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_ablate_csv_stable_across_runs(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukd.data import Dataset, DatasetSpec, batches, generate
+from ukd.data import Dataset, DatasetSpec, batches, generate, save_dataset
 from ukd.errors import DataError, FormatError, NumericError, SpecError
 from ukd.gradcore import Tensor, backward, zero_grad
 from ukd.harness import (
@@ -617,11 +617,15 @@ class _HalfWriter:
         raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
-    import ukd.harness as hmod
-    net = build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], 1)
-    kept = tmp_path / "kept.ukdc"
-    save_checkpoint(net, kept)
+@pytest.mark.parametrize("save,make", [
+    (save_checkpoint, lambda seed: build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], seed)),
+    (save_dataset, lambda seed: generate(DatasetSpec(num_classes=2, samples_per_class=4,
+                                                     feature_dim=2, seed=seed))),
+], ids=["checkpoint", "dataset"])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch, save, make):
+    import ukd.data as dmod
+    kept = tmp_path / "kept"
+    save(make(1), kept)
     before = kept.read_bytes()
     opened = []
 
@@ -629,13 +633,12 @@ def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch):
         opened.append(Path(path))
         return _HalfWriter(open(path, mode))
 
-    monkeypatch.setattr(hmod, "open", full_disk, raising=False)
-    other = build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], 2)
-    for target in (kept, tmp_path / "fresh.ukdc"):
+    monkeypatch.setattr(dmod, "open", full_disk, raising=False)
+    for target in (kept, tmp_path / "fresh"):
         with pytest.raises(OSError, match="No space"):
-            save_checkpoint(other, target)
+            save(make(2), target)
     assert [p.parent for p in opened] == [tmp_path, tmp_path]  # temp files beside target
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ukdc"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
     assert kept.read_bytes() == before
 
 
