@@ -44,7 +44,7 @@ from .harness import (
     save_checkpoint,
     train,
 )
-from .nets import LayerSpec, compression_ratio, param_count
+from .nets import LayerSpec, compression_ratio, mlp_spec, param_count
 
 MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
               "dual": "dual"}
@@ -68,18 +68,15 @@ def _scalar_fields(cls) -> dict[str, type]:
 _FIELDS = {"run": _scalar_fields(TrainConfig), "dataset": _scalar_fields(DatasetSpec),
            "seeds": _scalar_fields(Seeds)}
 _ARCH_KEYS = ("teacher", "student1", "student2")
-
-
-def _spec_from_widths(in_dim: int, out_dim: int, widths: list[int]) -> list[LayerSpec]:
-    dims = [in_dim] + list(widths) + [out_dim]
-    return [LayerSpec(dims[i], dims[i + 1],
-                      "relu" if i + 2 < len(dims) else "none")
-            for i in range(len(dims) - 1)]
+# The config file keys each ablation row sets itself: its mode and loss
+# weights, and the seed streams of its seed block.
+_ROW_KEYS = (*[("run", key) for key in ("mode", "alpha", "beta", "gamma")],
+             ("dataset", "seed"), *[("seeds", key) for key in _FIELDS["seeds"]])
 
 
 def _widths_from_spec(spec: list[LayerSpec]) -> list[int]:
     widths = [layer.out_dim for layer in spec[:-1]]
-    if spec != _spec_from_widths(spec[0].in_dim, spec[-1].out_dim, widths):
+    if spec != mlp_spec(spec[0].in_dim, widths, spec[-1].out_dim):
         raise SpecError("architecture not expressible as hidden widths "
                         "(relu hidden layers, linear output)")
     return widths
@@ -158,7 +155,7 @@ def _build_config(given: dict[str, dict], block: int | None) -> TrainConfig:
     else:
         seeds = Seeds.from_block(_DEFAULT_BLOCK)
     dataset = DatasetSpec(**{"seed": seeds.data, **dataset})
-    specs = {f"{key}_spec": _spec_from_widths(dataset.feature_dim, dataset.num_classes, widths)
+    specs = {f"{key}_spec": mlp_spec(dataset.feature_dim, widths, dataset.num_classes)
              for key, widths in given["architecture"].items()}
     return TrainConfig(seeds=seeds, dataset=dataset, **given["run"], **specs)
 
@@ -177,11 +174,19 @@ def _given(args, section: str) -> dict:
     return {key: value for key, value in vars(args).items() if key in _FIELDS[section]}
 
 
-def _assemble_config(args, default_mode: str | None = None) -> tuple[TrainConfig, str | None]:
-    """Config file, then the flags given over its values -> (TrainConfig, output dir)."""
+def _assemble_config(args, default_mode: str | None = None,
+                     fixed=()) -> tuple[TrainConfig, str | None]:
+    """Config file, then the flags given over its values -> (TrainConfig, output dir).
+
+    The file may not set a (section, key) of fixed: the command sets those itself.
+    """
     flags = vars(args)  # only flags given: a run flag's default is argparse.SUPPRESS
     given, out = _read_config(Path(flags["config"]).read_text(encoding="utf-8")
                               if "config" in flags else "")
+    clash = [f"{key} in [{section}]" for section, key in fixed if key in given[section]]
+    if clash:
+        raise SpecError(f"{args.command} sets {', '.join(clash)} itself; "
+                        "remove them from the config file")
     for section in _FIELDS:
         given[section].update(_given(args, section))
     if "mode" in flags:
@@ -247,7 +252,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config, out = _assemble_config(args, default_mode="dual")
+    config, out = _assemble_config(args, default_mode="dual", fixed=_ROW_KEYS)
     root = _claim_dir(out if out is not None else _run_root() / "ablation")
     result = ablate(config, list(range(args.seeds)), out_root=root, jobs=args.jobs)
     print(result.table_text(), end="")
@@ -393,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="the 4-row loss-component ladder")
     _add_flags(p, [key for key in run_flags  # each row sets these itself
-                   if key not in ("mode", "alpha", "beta", "gamma", "seed_block")])
+                   if ("run", key) not in _ROW_KEYS and key != "seed_block"])
     p.add_argument("--seeds", type=int, default=5,
                    help="number of seed blocks, 0..k-1 (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,

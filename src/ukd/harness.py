@@ -38,6 +38,7 @@ from .distill import (
 from .errors import DataError, FormatError, NumericError, SpecError
 from .gradcore import Tensor, backward, log_softmax, no_grad, zero_grad
 from .nets import (
+    ACTIVATIONS,
     LayerSpec,
     Network,
     build,
@@ -63,8 +64,6 @@ ABLATION_ROWS = MODES
 
 UKDC_MAGIC = b"UKDC"
 UKDC_VERSION = 1
-ACTIVATION_CODES = {"none": 0, "relu": 1}
-CODE_ACTIVATIONS = {v: k for k, v in ACTIVATION_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -404,19 +403,11 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
         save_checkpoint(teacher, run_dir / "teacher.ukdc")
         for name, net in students.items():
             save_checkpoint(net, run_dir / f"student_{name}_final.ukdc")
-            snapshot = Network(net.layers, _params_from_arrays(net, best[name][1]))
+            snapshot = Network(net.layers, [Tensor(a) for a in best[name][1]])
             save_checkpoint(snapshot, run_dir / f"student_{name}_best.ukdc")
         _write_atomic(run_dir / "summary.json",
                       (json.dumps(summary, indent=2) + "\n").encode("ascii"))
     return RunResult(run_dir, records, breakdowns, summary, teacher, students)
-
-
-def _params_from_arrays(net: Network, arrays: list[np.ndarray]) -> dict[str, Tensor]:
-    params: dict[str, Tensor] = {}
-    for i in range(len(net.layers)):
-        params[f"weight_{i}"] = Tensor(arrays[2 * i].copy(), requires_grad=True)
-        params[f"bias_{i}"] = Tensor(arrays[2 * i + 1].copy(), requires_grad=True)
-    return params
 
 
 def _summarize(config, teacher, teacher_val, students, records, best, wall_total):
@@ -559,20 +550,23 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
 
 
 def save_checkpoint(net: Network, path) -> None:
-    """UKDC: magic, version, layer table, then per-layer weights and biases."""
+    """UKDC: magic, version, layer table, net.parameters; activation codes index ACTIVATIONS."""
     buf = bytearray(UKDC_MAGIC)
     buf += struct.pack("<II", UKDC_VERSION, len(net.layers))
     for layer in net.layers:
         buf += struct.pack("<IIB", layer.in_dim, layer.out_dim,
-                           ACTIVATION_CODES[layer.activation])
-    for i in range(len(net.layers)):
-        buf += net.params[f"weight_{i}"].data.astype("<f8").tobytes()
-        buf += net.params[f"bias_{i}"].data.astype("<f8").tobytes()
+                           ACTIVATIONS.index(layer.activation))
+    for p in net.parameters:
+        buf += p.data.astype("<f8").tobytes()
     _write_atomic(path, bytes(buf))
 
 
 def load_checkpoint(path) -> Network:
-    """Rebuild a trainable network from a UKDC file; parameters are bit-exact."""
+    """Rebuild a trainable network from a UKDC file; parameters are bit-exact.
+
+    A file that build would refuse, such as one ending in a relu layer, raises
+    FormatError naming the offset.
+    """
     blob = Path(path).read_bytes()
     if len(blob) < 12:
         raise FormatError(f"file truncated at offset {len(blob)}: header needs 12 bytes")
@@ -589,15 +583,18 @@ def load_checkpoint(path) -> Network:
         if offset + 9 > len(blob):
             raise FormatError(f"file truncated at offset {offset} in layer table")
         in_dim, out_dim, code = struct.unpack("<IIB", blob[offset: offset + 9])
-        if code not in CODE_ACTIVATIONS:
+        if code >= len(ACTIVATIONS):
             raise FormatError(f"unknown activation code {code} at offset {offset + 8}")
         if in_dim < 1 or out_dim < 1:
             raise FormatError(f"bad layer dims {in_dim}x{out_dim} at offset {offset}")
         if layers and layers[-1].out_dim != in_dim:
             raise FormatError(f"broken dimension chain at offset {offset}")
-        layers.append(LayerSpec(in_dim, out_dim, CODE_ACTIVATIONS[code]))
+        layers.append(LayerSpec(in_dim, out_dim, ACTIVATIONS[code]))
         offset += 9
-    params: dict[str, Tensor] = {}
+    if layers[-1].activation != "none":
+        raise FormatError(f"final layer activation {layers[-1].activation!r} at offset "
+                          f"{offset - 1}, expected 'none'")
+    parameters: list[Tensor] = []
     for i, layer in enumerate(layers):
         for name, shape in ((f"weight_{i}", (layer.in_dim, layer.out_dim)),
                             (f"bias_{i}", (layer.out_dim,))):
@@ -605,8 +602,8 @@ def load_checkpoint(path) -> Network:
             if offset + size > len(blob):
                 raise FormatError(f"file truncated at offset {offset} reading {name}")
             arr = np.frombuffer(blob[offset: offset + size], dtype="<f8").reshape(shape)
-            params[name] = Tensor(arr.copy(), requires_grad=True)
+            parameters.append(Tensor(arr.copy(), requires_grad=True))
             offset += size
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} trailing bytes at offset {offset}")
-    return Network(layers, params)
+    return Network(layers, parameters)

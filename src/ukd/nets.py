@@ -48,21 +48,12 @@ def _validate_spec(spec: list[LayerSpec]) -> None:
 
 
 class Network:
-    """Ordered affine+activation stack with named parameter tensors."""
+    """Affine+activation stack; parameters are [weight_0, bias_0, weight_1, ...] in order."""
 
-    def __init__(self, layers: list[LayerSpec], params: dict[str, Tensor], frozen: bool = False):
+    def __init__(self, layers: list[LayerSpec], parameters: list[Tensor], frozen: bool = False):
         self.layers = list(layers)
-        self.params = params
+        self.parameters = parameters
         self.frozen = frozen
-
-    @property
-    def parameters(self) -> list[Tensor]:
-        """Parameters in layer order: weight_0, bias_0, weight_1, ..."""
-        out = []
-        for i in range(len(self.layers)):
-            out.append(self.params[f"weight_{i}"])
-            out.append(self.params[f"bias_{i}"])
-        return out
 
     def freeze(self) -> "Network":
         """Permanently stop gradient tracking; parameters become read-only by contract."""
@@ -80,16 +71,16 @@ class Network:
 
 
 def build(spec: list[LayerSpec], seed: int) -> Network:
-    """He-initialized network: weights ~ N(0, 2/in_dim), biases zero."""
+    """He-initialized network: weights ~ N(0, 2/in_dim) drawn in layer order, biases zero."""
     _validate_spec(spec)
     rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
-    for i, layer in enumerate(spec):
+    parameters: list[Tensor] = []
+    for layer in spec:
         std = math.sqrt(2.0 / layer.in_dim)
         w = rng.normal(0.0, std, (layer.in_dim, layer.out_dim))
-        params[f"weight_{i}"] = Tensor(w, requires_grad=True)
-        params[f"bias_{i}"] = Tensor(np.zeros(layer.out_dim), requires_grad=True)
-    return Network(spec, params)
+        parameters += [Tensor(w, requires_grad=True),
+                       Tensor(np.zeros(layer.out_dim), requires_grad=True)]
+    return Network(spec, parameters)
 
 
 def forward(net: Network, x: Tensor) -> Tensor:
@@ -108,8 +99,9 @@ def forward(net: Network, x: Tensor) -> Tensor:
 
 def _stack(net: Network, x: Tensor) -> Tensor:
     h = x
-    for i, layer in enumerate(net.layers):
-        h = add(matmul(h, net.params[f"weight_{i}"]), net.params[f"bias_{i}"])
+    for layer, w, b in zip(net.layers, net.parameters[::2], net.parameters[1::2],
+                           strict=True):
+        h = add(matmul(h, w), b)
         if layer.activation == "relu":
             h = relu(h)
     return h
@@ -129,28 +121,23 @@ def compression_ratio(teacher_params, student_params) -> float:
     return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
+def mlp_spec(in_dim: int, widths: list[int], out_dim: int) -> list[LayerSpec]:
+    """One relu layer per hidden width, then a linear layer emitting logits."""
+    dims = [in_dim, *widths]
+    return ([LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
+            + [LayerSpec(dims[-1], out_dim, "none")])
+
+
 def default_teacher_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
     """Widest stack: three hidden layers of 128."""
-    return [
-        LayerSpec(in_dim, 128),
-        LayerSpec(128, 128),
-        LayerSpec(128, 128),
-        LayerSpec(128, num_classes, "none"),
-    ]
+    return mlp_spec(in_dim, [128, 128, 128], num_classes)
 
 
 def default_student1_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
     """Mid-sized student: two hidden layers of 64."""
-    return [
-        LayerSpec(in_dim, 64),
-        LayerSpec(64, 64),
-        LayerSpec(64, num_classes, "none"),
-    ]
+    return mlp_spec(in_dim, [64, 64], num_classes)
 
 
 def default_student2_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
     """Narrow student: one hidden layer of 32."""
-    return [
-        LayerSpec(in_dim, 32),
-        LayerSpec(32, num_classes, "none"),
-    ]
+    return mlp_spec(in_dim, [32], num_classes)

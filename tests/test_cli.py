@@ -436,6 +436,52 @@ def test_ablate_rejects_flags_each_row_sets(capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+_BLOCK3_SEEDS = "[seeds]\n" + "".join(
+    f"{key} = {value}\n" for key, value in vars(Seeds.from_block(3)).items())
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[run]\nmode = dual\n", ["mode in [run]"]),
+    ("[run]\nalpha = 0.9\n", ["alpha in [run]"]),
+    ("[run]\nbeta = 0.9\n", ["beta in [run]"]),
+    ("[run]\ngamma = 0.1\n", ["gamma in [run]"]),
+    ("[dataset]\nseed = 0\n", ["seed in [dataset]"]),
+    (_BLOCK3_SEEDS, [f"{key} in [seeds]" for key in vars(Seeds.from_block(3))]),
+], ids=["mode", "alpha", "beta", "gamma", "dataset-seed", "seeds"])
+def test_ablate_rejects_config_keys_each_row_sets(tmp_path, capsys, text, named):
+    path = tmp_path / "ladder.cfg"
+    path.write_text(text)
+    out = tmp_path / "abl"
+    assert main(["ablate", "--seeds", "1", "--config", str(path), "--out", str(out)]
+                + TINY) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in named)
+    assert not out.exists()
+
+
+def test_ablate_config_keys_every_row_shares_reach_each_row(tmp_path):
+    path = tmp_path / "ladder.cfg"
+    path.write_text(
+        "[run]\ntau = 2.0\nepochs = 2\nteacher_epochs = 2\nbatch_size = 32\n"
+        "[dataset]\nnum_classes = 4\nsamples_per_class = 40\nfeature_dim = 8\n"
+        "overlap_sigma = 0.5\n"
+        "[architecture]\nteacher = 16\nstudent1 = 12,12\nstudent2 = 8\n")
+    root = tmp_path / "abl"
+    assert main(["ablate", "--seeds", "1", "--config", str(path), "--out", str(root)]) == 0
+    for mode in MODES:
+        with open(root / f"{mode}-block0" / "summary.json") as fh:
+            echo = json.load(fh)["config"]
+        assert echo["mode"] == mode
+        assert (echo["tau"], echo["epochs"], echo["teacher_epochs"], echo["batch_size"]) == \
+            (2.0, 2, 2, 32)
+        assert {k: echo["dataset"][k] for k in ("num_classes", "samples_per_class",
+                                                 "feature_dim", "overlap_sigma")} == \
+            {"num_classes": 4, "samples_per_class": 40, "feature_dim": 8, "overlap_sigma": 0.5}
+        assert echo["student1_spec"] == [[8, 12, "relu"], [12, 12, "relu"], [12, 4, "none"]]
+        assert echo["teacher_spec"] == [[8, 16, "relu"], [16, 4, "none"]]
+        assert echo["student2_spec"] == [[8, 8, "relu"], [8, 4, "none"]]
+
+
 def test_ablate_csv_stable_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     flags = ["ablate", "--seeds", "2"] + TINY

@@ -8,6 +8,7 @@ reproducibility down to file bytes, and the checkpoint format.
 import errno
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +58,7 @@ def net_digest(net):
 
 
 def clone_net(net):
-    params = {k: Tensor(v.data.copy(), requires_grad=True) for k, v in net.params.items()}
+    params = [Tensor(p.data.copy(), requires_grad=True) for p in net.parameters]
     return Network(list(net.layers), params)
 
 
@@ -176,8 +177,8 @@ def _kl2(lq, lp):
 
 def _one_layer(weight, bias, seed=0):
     net = build([LayerSpec(2, 2, "none")], seed)
-    net.params["weight_0"].data[:] = weight
-    net.params["bias_0"].data[:] = bias
+    net.parameters[0].data[:] = weight
+    net.parameters[1].data[:] = bias
     return net
 
 
@@ -372,8 +373,8 @@ def one_hot_dataset(copies=3):
 
 def linear_net(weight, bias):
     net = build([LayerSpec(10, 10, "none")], 0)
-    net.params["weight_0"].data[:] = weight
-    net.params["bias_0"].data[:] = bias
+    net.parameters[0].data[:] = weight
+    net.parameters[1].data[:] = bias
     return net
 
 
@@ -655,6 +656,8 @@ def _ckpt_bytes(tmp_path):
     (lambda b: bytes(b[:20]), "truncated"),
     (lambda b: bytes(b) + b"\x00", "trailing"),
     (lambda b: bytes(b[:20]) + b"\x07" + bytes(b[21:]), "activation code"),
+    # the second layer's activation code, none -> relu: build refuses such a net
+    (lambda b: bytes(b[:29]) + b"\x01" + bytes(b[30:]), "final layer .* offset 29"),
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate, fragment):
     blob = _ckpt_bytes(tmp_path)
@@ -662,6 +665,20 @@ def test_checkpoint_corruption_detected(tmp_path, mutate, fragment):
     bad.write_bytes(mutate(blob))
     with pytest.raises(FormatError, match=fragment):
         load_checkpoint(bad)
+
+
+def test_checkpoint_layout_is_pinned(tmp_path):
+    # header, layer table with code = index in ACTIVATIONS, then W0, b0, W1, b1;
+    # the weights are redrawn here so that neither order is taken from the code
+    path = tmp_path / "n.ukdc"
+    save_checkpoint(build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], 1), path)
+    rng = np.random.default_rng(1)
+    w0 = rng.normal(0.0, math.sqrt(2.0 / 4), (4, 3))
+    w1 = rng.normal(0.0, math.sqrt(2.0 / 3), (3, 2))
+    arrays = (w0, np.zeros(3), w1, np.zeros(2))
+    assert path.read_bytes() == (
+        b"UKDC" + struct.pack("<II", 1, 2) + struct.pack("<IIB", 4, 3, 1)
+        + struct.pack("<IIB", 3, 2, 0) + b"".join(a.astype("<f8").tobytes() for a in arrays))
 
 
 def test_checkpoint_broken_chain_detected(tmp_path):

@@ -37,15 +37,15 @@ def test_build_is_deterministic_in_seed():
 
 def test_build_biases_start_at_zero():
     net = build([LayerSpec(5, 7), LayerSpec(7, 2, "none")], 0)
-    for i in range(2):
-        assert (net.params[f"bias_{i}"].data == 0.0).all()
+    for bias in net.parameters[1::2]:
+        assert (bias.data == 0.0).all()
 
 
 def test_build_weight_std_tracks_he_scaling():
     # 10k draws: sample std within 10% of sqrt(2/in_dim).
     in_dim = 64
     net = build([LayerSpec(in_dim, 160), LayerSpec(160, 2, "none")], 2024)
-    w = net.params["weight_0"].data
+    w = net.parameters[0].data
     assert w.size >= 10_000
     target = np.sqrt(2.0 / in_dim)
     assert abs(w.std() - target) < 0.1 * target
@@ -72,15 +72,15 @@ def test_build_rejects_bad_layer_specs():
 
 def test_forward_zero_weight_net_emits_biases():
     net = build([LayerSpec(3, 4, "none")], 0)
-    net.params["weight_0"].data[...] = 0.0
-    net.params["bias_0"].data[...] = [1.0, 2.0, 3.0, 4.0]
+    net.parameters[0].data[...] = 0.0
+    net.parameters[1].data[...] = [1.0, 2.0, 3.0, 4.0]
     out = forward(net, Tensor(np.ones((5, 3))))
     np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)))
 
 
 def test_forward_identity_net_returns_input():
     net = build([LayerSpec(4, 4, "none")], 0)
-    net.params["weight_0"].data[...] = np.eye(4)
+    net.parameters[0].data[...] = np.eye(4)
     x = np.random.default_rng(1).uniform(-2, 2, (6, 4))
     np.testing.assert_array_equal(forward(net, Tensor(x)).data, x)
 
@@ -89,10 +89,10 @@ def test_forward_hand_arithmetic():
     # x=[1,2]; W1=[[1,0],[1,1]] b1=[0,-3]; relu; W2=[[1,1],[2,2]] b2=[0.5,0]
     # h = relu([3, -1]) = [3, 0]; logits = [3.5, 3].
     net = build([LayerSpec(2, 2), LayerSpec(2, 2, "none")], 0)
-    net.params["weight_0"].data[...] = [[1.0, 0.0], [1.0, 1.0]]
-    net.params["bias_0"].data[...] = [0.0, -3.0]
-    net.params["weight_1"].data[...] = [[1.0, 1.0], [2.0, 2.0]]
-    net.params["bias_1"].data[...] = [0.5, 0.0]
+    net.parameters[0].data[...] = [[1.0, 0.0], [1.0, 1.0]]
+    net.parameters[1].data[...] = [0.0, -3.0]
+    net.parameters[2].data[...] = [[1.0, 1.0], [2.0, 2.0]]
+    net.parameters[3].data[...] = [0.5, 0.0]
     out = forward(net, Tensor([[1.0, 2.0]]))
     np.testing.assert_allclose(out.data, [[3.5, 3.0]], rtol=0, atol=1e-12)
 
