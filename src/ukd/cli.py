@@ -118,7 +118,7 @@ _SECTIONS = {**_FIELDS, "run": {**_FIELDS["run"], "out": str},
 
 def _read_config(text: str) -> tuple[dict[str, dict], str | None]:
     """Config file -> (its values per section, output dir). Unknown keys are rejected."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as err:
@@ -402,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5,
                    help="number of seed blocks, 0..k-1 (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel runs across seed blocks (default: %(default)s)")
+                   help="parallel runs across seed blocks (default: %(default)s); "
+                        "set OPENBLAS_NUM_THREADS=1 with more than one job, or the "
+                        "workers' BLAS threads compete for the cores")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")

@@ -162,7 +162,7 @@ def batches(ds: Dataset, split: str, batch_size: int, shuffle_seed: int,
 
 def augment(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndarray:
     """Additive N(0, strength^2) noise."""
-    if strength < 0:
+    if not strength >= 0:
         raise ParameterError(f"strength must be nonnegative, got {strength}")
     return x + rng.normal(0.0, strength, x.shape)
 

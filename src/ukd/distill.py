@@ -71,10 +71,10 @@ def _as_probs(probs) -> np.ndarray:
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ShapeError(f"need [batch, C>=2] probabilities, got shape {p.shape}")
-    if (p < 0.0).any():
+    if not (p >= 0.0).all():
         raise DistributionError("probabilities must be nonnegative")
     sums = p.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
+    if not np.abs(sums - 1.0).max() <= 1e-9:
         raise DistributionError(f"rows must sum to 1 within 1e-9, worst sum {sums[np.abs(sums - 1.0).argmax()]!r}")
     return p
 
@@ -93,7 +93,7 @@ def confidence_weight(H, num_classes: int) -> np.ndarray:
         raise ParameterError(f"num_classes must be >= 2, got {num_classes}")
     h = np.asarray(H, dtype=np.float64)
     max_h = np.log(num_classes)
-    if (h < -1e-9).any() or (h > max_h + 1e-9).any():
+    if not np.all((h >= -1e-9) & (h <= max_h + 1e-9)):
         raise DistributionError(f"entropy outside [0, ln {num_classes}]")
     return np.clip(1.0 - h / max_h, 0.0, 1.0)
 
@@ -114,7 +114,7 @@ def uncertainty_stats(probs) -> UncertaintyStats:
 
 def _check_log_dist(ld: np.ndarray, name: str) -> None:
     sums = np.exp(ld).sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-9:
+    if not np.abs(sums - 1.0).max() <= 1e-9:
         raise DistributionError(f"{name} is not a log-distribution (exp-row-sum off by > 1e-9)")
 
 
@@ -176,7 +176,7 @@ def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
     batch = student_logits.shape[0]
     if w.shape != (batch,):
         raise ShapeError(f"weight shape {w.shape} does not match batch {batch}")
-    if (w < 0.0).any() or (w > 1.0).any():
+    if not np.all((w >= 0.0) & (w <= 1.0)):
         raise ParameterError("confidence weights must lie in [0, 1]")
     lq = log_softmax(student_logits, tau)
     lp = detach(log_softmax(teacher_logits, tau))
@@ -206,7 +206,7 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
     """
     weights = {"alpha": alpha, "beta": beta, "gamma": gamma}
     for name, value in weights.items():
-        if value < 0:
+        if not value >= 0:
             raise ParameterError(f"{name} must be nonnegative, got {value}")
     live = []
     floats = []

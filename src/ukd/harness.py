@@ -207,26 +207,23 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _named_term(name: str, fn):
-    """Evaluate one loss term, naming it in any numeric failure."""
-    try:
-        return fn()
-    except NumericError as err:
-        raise NumericError(f"{name} loss term diverged: {err}") from err
-
-
 def _student_loss(student_logits: Tensor, teacher_logits: Tensor, labels, w,
-                  config: TrainConfig, peer_logits: Tensor | None = None):
-    """Combined loss for one student; zero-weighted terms are never built."""
+                  config: TrainConfig, peer_logits: Tensor):
+    """One student's combined loss; zero-weighted terms are never built, a diverged one is named."""
     hard = teach = peer = None
-    if config.alpha != 0.0:
-        hard = _named_term("hard", lambda: hard_loss(student_logits, labels))
-    if config.beta != 0.0:
-        teach = _named_term("teacher", lambda: teacher_loss(
-            student_logits, teacher_logits, w, config.tau, config.kl_direction))
-    if config.gamma != 0.0 and peer_logits is not None:
-        peer = _named_term("peer", lambda: peer_loss(
-            student_logits, peer_logits, config.tau, config.kl_direction))
+    term = "hard"
+    try:
+        if config.alpha != 0.0:
+            hard = hard_loss(student_logits, labels)
+        term = "teacher"
+        if config.beta != 0.0:
+            teach = teacher_loss(student_logits, teacher_logits, w, config.tau,
+                                 config.kl_direction)
+        term = "peer"
+        if config.gamma != 0.0:
+            peer = peer_loss(student_logits, peer_logits, config.tau, config.kl_direction)
+    except NumericError as err:
+        raise NumericError(f"{term} loss term diverged: {err}") from err
     return total_loss(hard, teach, peer, config.alpha, config.beta, config.gamma,
                       tau=config.tau)
 
@@ -238,11 +235,11 @@ def _teacher_stats(teacher: Network, x: np.ndarray):
     return t_logits, uncertainty_stats(probs)
 
 
-def _update(net: Network, loss: Tensor, opt: SgdState) -> None:
-    """One SGD update of net from the gradient of loss."""
-    zero_grad(net.parameters)
+def _update(loss: Tensor, opt: SgdState) -> None:
+    """One SGD update of opt's parameters from the gradient of loss."""
+    zero_grad(opt.params)
     backward(loss)
-    sgd_step(net.parameters, opt)
+    sgd_step(opt)
 
 
 def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int):
@@ -275,10 +272,10 @@ def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
     w = confidence_for_mode(config.mode, stats)
     z1 = forward(s1, Tensor(x))
     z2 = forward(s2, Tensor(x))
-    loss1, bd1 = _student_loss(z1, t_logits, y, w, config, peer_logits=z2)
-    loss2, bd2 = _student_loss(z2, t_logits, y, w, config, peer_logits=z1)
-    _update(s1, loss1, opt1)
-    _update(s2, loss2, opt2)
+    loss1, bd1 = _student_loss(z1, t_logits, y, w, config, z2)
+    loss2, bd2 = _student_loss(z2, t_logits, y, w, config, z1)
+    _update(loss1, opt1)
+    _update(loss2, opt2)
     return bd1, bd2, stats
 
 
@@ -293,13 +290,16 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
         ds = generate(config.dataset)
     teacher = build(config.teacher_spec, config.seeds.teacher)
     sched = CosineSchedule(config.eta0, config.teacher_epochs)
-    opt = SgdState.for_params(teacher.parameters, lr_at(sched, 0),
-                              config.momentum, config.weight_decay)
+    opt = SgdState(teacher.parameters, lr_at(sched, 0), config.momentum,
+                   config.weight_decay)
     for epoch in range(config.teacher_epochs):
         opt.lr = lr_at(sched, epoch)
         for x, y in _augmented_batches(ds, config, config.seeds.teacher, epoch):
-            loss = _named_term("hard", lambda: hard_loss(forward(teacher, Tensor(x)), y))
-            _update(teacher, loss, opt)
+            try:
+                loss = hard_loss(forward(teacher, Tensor(x)), y)
+            except NumericError as err:
+                raise NumericError(f"hard loss term diverged: {err}") from err
+            _update(loss, opt)
     teacher.freeze()
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
@@ -342,8 +342,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     }
     sched = CosineSchedule(config.eta0, config.epochs)
     opts = {
-        name: SgdState.for_params(net.parameters, lr_at(sched, 0),
-                                  config.momentum, config.weight_decay)
+        name: SgdState(net.parameters, lr_at(sched, 0), config.momentum,
+                       config.weight_decay)
         for name, net in students.items()
     }
     records: list[MetricsRecord] = []

@@ -2,9 +2,10 @@
 
 The teacher is the widest and deepest stack; the two students are smaller
 and deliberately different from each other in depth and width so that each
-can pick up complementary structure. Freezing a network drops its gradient
-requirements permanently; the training harness never updates frozen
-parameters.
+can pick up complementary structure. A network is frozen exactly when none
+of its parameters requires a gradient. Freezing clears requires_grad, so a
+forward of plain input through it records no graph, and the harness never
+updates it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SpecError
-from .gradcore import Tensor, add, matmul, no_grad, relu
+from .gradcore import Tensor, add, matmul, relu
 
 ACTIVATIONS = ("none", "relu")
 
@@ -50,14 +51,17 @@ def _validate_spec(spec: list[LayerSpec]) -> None:
 class Network:
     """Affine+activation stack; parameters are [weight_0, bias_0, weight_1, ...] in order."""
 
-    def __init__(self, layers: list[LayerSpec], parameters: list[Tensor], frozen: bool = False):
+    def __init__(self, layers: list[LayerSpec], parameters: list[Tensor]):
         self.layers = list(layers)
         self.parameters = parameters
-        self.frozen = frozen
+
+    @property
+    def frozen(self) -> bool:
+        """True when no parameter requires a gradient."""
+        return not any(p.requires_grad for p in self.parameters)
 
     def freeze(self) -> "Network":
-        """Permanently stop gradient tracking; parameters become read-only by contract."""
-        self.frozen = True
+        """Stop gradient tracking: clear every parameter's requires_grad and grad."""
         for p in self.parameters:
             p.requires_grad = False
             p.grad = None
@@ -84,20 +88,13 @@ def build(spec: list[LayerSpec], seed: int) -> Network:
 
 
 def forward(net: Network, x: Tensor) -> Tensor:
-    """Logits for a [batch, in_dim] input; no graph is recorded for frozen nets."""
+    """Logits for a [batch, in_dim] input; a frozen net's parameters take no gradient."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
     if x.data.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
         raise ShapeError(
             f"input shape {x.shape} does not match first layer in_dim {net.layers[0].in_dim}"
         )
-    if net.frozen:
-        with no_grad():
-            return _stack(net, x)
-    return _stack(net, x)
-
-
-def _stack(net: Network, x: Tensor) -> Tensor:
     h = x
     for layer, w, b in zip(net.layers, net.parameters[::2], net.parameters[1::2],
                            strict=True):

@@ -2,8 +2,10 @@
 
 Per element: g <- grad + lambda*theta, v <- mu*v + g, theta <- theta - eta*v.
 The decay term joins the gradient before momentum (the classical coupling).
-The schedule is stepped once per epoch: eta0 * (1 + cos(pi*epoch/total)) / 2,
-reaching exactly zero at the final epoch boundary.
+An SgdState owns the parameter list it updates and one velocity per
+parameter, paired once at construction. The schedule is stepped once per
+epoch: eta0 * (1 + cos(pi*epoch/total)) / 2, reaching exactly zero at the
+final epoch boundary.
 """
 
 from __future__ import annotations
@@ -19,36 +21,25 @@ from .gradcore import Tensor
 
 @dataclass
 class SgdState:
-    """Optimizer state owned by exactly one network's parameter list."""
+    """Optimizer state over one parameter list: one velocity per parameter, in its order."""
 
+    params: list[Tensor]
     lr: float
     momentum: float
     weight_decay: float
-    velocity: list[np.ndarray] = field(default_factory=list)
+    velocity: list[np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        if self.lr < 0:
+        if not self.lr >= 0:
             raise ParameterError(f"lr must be nonnegative, got {self.lr}")
-
-    @classmethod
-    def for_params(cls, params: list[Tensor], lr: float, momentum: float,
-                   weight_decay: float) -> "SgdState":
-        state = cls(lr, momentum, weight_decay)
-        state.velocity = [np.zeros_like(p.data) for p in params]
-        return state
+        self.velocity = [np.zeros_like(p.data) for p in self.params]
 
 
-def sgd_step(params: list[Tensor], state: SgdState) -> None:
-    """One in-place update of every parameter from its accumulated gradient."""
-    if len(state.velocity) != len(params):
-        raise ContractError(
-            f"velocity count {len(state.velocity)} does not match {len(params)} params"
-        )
-    for p, v in zip(params, state.velocity):
+def sgd_step(state: SgdState) -> None:
+    """One in-place update of every parameter of state from its accumulated gradient."""
+    for p, v in zip(state.params, state.velocity):
         if p.grad is None:
             raise ContractError("sgd_step called before gradients were populated")
-        if v.shape != p.data.shape:
-            raise ContractError(f"velocity shape {v.shape} does not mirror param {p.data.shape}")
         g = p.grad + state.weight_decay * p.data
         v *= state.momentum
         v += g

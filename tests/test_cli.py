@@ -178,6 +178,20 @@ def test_config_bad_value_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("out", ["runs/100%", "runs/a%%b"])
+def test_config_percent_in_a_value_round_trips(out):
+    cfg = tiny_config(mode="dual")
+    assert parse_config(render_config(cfg, out=out)) == (cfg, out)
+
+
+def test_config_interpolation_syntax_is_a_bad_value(tmp_path, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text(render_config(tiny_config(mode="dual")).replace(
+        "tau = 4.0", "tau = %(x)s"), encoding="ascii")
+    assert main(["train", "--config", str(path)]) == 2
+    assert "bad value '%(x)s' for tau in [run]" in capsys.readouterr().err
+
+
 def test_config_missing_mode_rejected():
     with pytest.raises(SpecError, match="mode"):
         parse_config("[run]\ntau = 4.0\n")

@@ -188,6 +188,8 @@ def test_augment_noise_mean_shift_bounded():
 def test_augment_rejects_negative_strength():
     with pytest.raises(ParameterError):
         augment(np.zeros((2, 2)), -0.1, np.random.default_rng(0))
+    with pytest.raises(ParameterError):
+        augment(np.zeros((2, 2)), np.nan, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------- UKDD format

@@ -72,6 +72,10 @@ def test_entropy_rejects_bad_rows():
         entropy(np.array([[0.5, 0.6]]))  # sums to 1.1
     with pytest.raises(DistributionError):
         entropy(np.array([[1.2, -0.2]]))  # negative entry
+    with pytest.raises(DistributionError):
+        entropy(np.array([[np.nan, 0.5, 0.5]]))  # NaN fails every comparison
+    with pytest.raises(DistributionError):
+        uncertainty_stats(np.array([[np.nan, 0.5, 0.5]]))
 
 
 def test_entropy_and_weight_bounds_hold_over_random_rows():
@@ -108,6 +112,8 @@ def test_confidence_weight_rejects_bad_inputs():
         confidence_weight([-0.1], 10)
     with pytest.raises(DistributionError):
         confidence_weight([np.log(10) + 0.1], 10)
+    with pytest.raises(DistributionError):
+        confidence_weight([np.nan], 3)
 
 
 def test_uncertainty_stats_aggregates_consistently():
@@ -149,6 +155,8 @@ def test_kl_rejects_non_distributions():
         kl_div(np.zeros((1, 4)), ok)  # exp rows sum to 4
     with pytest.raises(DistributionError):
         kl_div(ok, np.zeros((1, 4)))
+    with pytest.raises(DistributionError):
+        kl_div(np.array([[np.nan, *ok[0, 1:]]]), ok)
     with pytest.raises(ShapeError):
         kl_div(ok, np.log(np.full((1, 5), 0.2)))
 
@@ -288,6 +296,8 @@ def test_teacher_loss_rejects_bad_parameters():
         teacher_loss(s, t, np.ones(2), 0.0)
     with pytest.raises(ParameterError):
         teacher_loss(s, t, np.array([0.5, 1.5]), 1.0)
+    with pytest.raises(ParameterError):
+        teacher_loss(s, t, np.array([0.5, np.nan]), 1.0)
     with pytest.raises(ShapeError):
         teacher_loss(s, t, np.ones(3), 1.0)
     with pytest.raises(ParameterError):
@@ -381,6 +391,8 @@ def test_total_loss_rejects_bad_weights():
         total_loss(_scalar(1.0), _scalar(1.0), _scalar(1.0), -0.1, 0.5, 0.5)
     with pytest.raises(ParameterError):
         total_loss(_scalar(1.0), None, None, 0.5, 0.5, 0.0)  # missing term, nonzero weight
+    with pytest.raises(ParameterError):
+        total_loss(_scalar(1.0), _scalar(1.0), _scalar(1.0), np.nan, 0.5, 0.5)
 
 
 def test_loss_breakdown_rejects_corrupt_components():

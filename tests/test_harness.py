@@ -196,8 +196,8 @@ def test_dual_step_matches_scalar_transcript():
     s1 = _one_layer(w1, b1, seed=1)
     s2 = _one_layer(w2, b2, seed=2)
     cfg = TrainConfig(mode="dual", tau=2.0)
-    opt1 = SgdState.for_params(s1.parameters, 0.05, 0.0, 0.0)
-    opt2 = SgdState.for_params(s2.parameters, 0.05, 0.0, 0.0)
+    opt1 = SgdState(s1.parameters, 0.05, 0.0, 0.0)
+    opt2 = SgdState(s2.parameters, 0.05, 0.0, 0.0)
     bd1, bd2, stats = train_step_dual(teacher, s1, s2, (x, y), cfg, opt1, opt2)
 
     hard = {1: [], 2: []}
@@ -235,8 +235,8 @@ def test_dual_step_leaves_teacher_untouched():
     before = net_digest(teacher)
     s1 = build(cfg.student1_spec, cfg.seeds.student1)
     s2 = build(cfg.student2_spec, cfg.seeds.student2)
-    opt1 = SgdState.for_params(s1.parameters, 0.1, 0.9, 1e-4)
-    opt2 = SgdState.for_params(s2.parameters, 0.1, 0.9, 1e-4)
+    opt1 = SgdState(s1.parameters, 0.1, 0.9, 1e-4)
+    opt2 = SgdState(s2.parameters, 0.1, 0.9, 1e-4)
     for batch in batches(ds, "train", 32, cfg.seeds.shuffle, 0):
         train_step_dual(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert net_digest(teacher) == before
@@ -250,8 +250,8 @@ def test_dual_step_requires_frozen_teacher():
     batch = (np.zeros((2, 8)), np.array([0, 1]))
     with pytest.raises(SpecError, match="frozen"):
         train_step_dual(teacher, s1, s2, batch, cfg,
-                        SgdState.for_params(s1.parameters, 0.1, 0.0, 0.0),
-                        SgdState.for_params(s2.parameters, 0.1, 0.0, 0.0))
+                        SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
 
 def test_dual_step_stats_within_bounds():
@@ -260,8 +260,8 @@ def test_dual_step_stats_within_bounds():
     teacher, _ = pretrain_teacher(cfg, ds)
     s1 = build(cfg.student1_spec, cfg.seeds.student1)
     s2 = build(cfg.student2_spec, cfg.seeds.student2)
-    opt1 = SgdState.for_params(s1.parameters, 0.1, 0.9, 0.0)
-    opt2 = SgdState.for_params(s2.parameters, 0.1, 0.9, 0.0)
+    opt1 = SgdState(s1.parameters, 0.1, 0.9, 0.0)
+    opt2 = SgdState(s2.parameters, 0.1, 0.9, 0.0)
     batch = batches(ds, "train", 32, 4, 0)[0]
     bd1, bd2, stats = train_step_dual(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert np.all(stats.weight >= 0.0) and np.all(stats.weight <= 1.0)
@@ -283,7 +283,7 @@ def test_dual_without_peer_updates_students_independently():
     b1, b2 = clone_net(a1), build(cfg.student2_spec, 99)
     c1, c2 = build(cfg.student1_spec, 98), clone_net(a2)
     assert net_digest(b2) != net_digest(a2) and net_digest(c1) != net_digest(a1)
-    mk = lambda net: SgdState.for_params(net.parameters, 0.1, 0.9, 1e-4)
+    mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     opts = {id(net): mk(net) for net in (a1, a2, b1, b2, c1, c2)}
     for batch in batches(ds, "train", 32, 4, 0):
         for n1, n2 in ((a1, a2), (b1, b2), (c1, c2)):
@@ -302,7 +302,7 @@ def test_hard_only_step_is_plain_supervised():
     a1 = build(cfg.student1_spec, cfg.seeds.student1)
     a2 = build(cfg.student2_spec, cfg.seeds.student2)
     b1, b2 = clone_net(a1), clone_net(a2)
-    mk = lambda net: SgdState.for_params(net.parameters, 0.1, 0.9, 1e-4)
+    mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
     for batch in batches(ds, "train", 32, 4, 0):
         train_step_dual(teacher, a1, a2, batch, cfg, oa1, oa2)
@@ -311,7 +311,7 @@ def test_hard_only_step_is_plain_supervised():
             loss = hard_loss(forward(net, Tensor(x)), y)
             zero_grad(net.parameters)
             backward(loss)
-            sgd_step(net.parameters, opt)
+            sgd_step(opt)
     assert net_digest(a1) == net_digest(b1)
     assert net_digest(a2) == net_digest(b2)
 
@@ -324,7 +324,7 @@ def test_baseline_equals_uncertainty_with_unit_weights(monkeypatch):
     a1 = build(kd_cfg.student1_spec, kd_cfg.seeds.student1)
     a2 = build(kd_cfg.student2_spec, kd_cfg.seeds.student2)
     b1, b2 = clone_net(a1), clone_net(a2)
-    mk = lambda net: SgdState.for_params(net.parameters, 0.1, 0.9, 1e-4)
+    mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
     for batch in batches(ds, "train", 32, 4, 0):
         train_step_dual(teacher, a1, a2, batch, kd_cfg, oa1, oa2)
@@ -336,7 +336,8 @@ def test_baseline_equals_uncertainty_with_unit_weights(monkeypatch):
     assert net_digest(a2) == net_digest(b2)
 
 
-def test_diverging_term_names_itself(monkeypatch):
+@pytest.mark.parametrize("term", ["hard", "teacher", "peer"])
+def test_diverging_term_names_itself(monkeypatch, term):
     ds = generate(SMALL_DATA)
     cfg = small_config("dual")
     teacher, _ = pretrain_teacher(cfg, ds)
@@ -346,11 +347,11 @@ def test_diverging_term_names_itself(monkeypatch):
     def explode(*a, **kw):
         raise NumericError("exp produced a non-finite value")
 
-    monkeypatch.setattr("ukd.harness.peer_loss", explode)
-    with pytest.raises(NumericError, match="peer loss term"):
+    monkeypatch.setattr(f"ukd.harness.{term}_loss", explode)
+    with pytest.raises(NumericError, match=f"{term} loss term"):
         train_step_dual(teacher, s1, s2, batches(ds, "train", 32, 4, 0)[0], cfg,
-                        SgdState.for_params(s1.parameters, 0.1, 0.0, 0.0),
-                        SgdState.for_params(s2.parameters, 0.1, 0.0, 0.0))
+                        SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
 
 def test_runaway_lr_aborts_with_numeric_error():

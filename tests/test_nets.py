@@ -7,8 +7,10 @@ import pytest
 
 from ukd.errors import ParameterError, ShapeError, SpecError
 from ukd.gradcore import Tensor, backward, mean, tensor_sum
+from ukd.harness import load_checkpoint, save_checkpoint
 from ukd.nets import (
     LayerSpec,
+    Network,
     build,
     compression_ratio,
     default_student1_spec,
@@ -120,6 +122,19 @@ def test_frozen_forward_records_no_graph():
     out_frozen = forward(net, Tensor(np.ones((2, 3))))
     assert out_frozen.node is None
     np.testing.assert_array_equal(out_live.data, out_frozen.data)
+
+
+def test_frozen_is_read_from_requires_grad(tmp_path):
+    # a net is frozen exactly when no parameter takes a gradient
+    net = Network([LayerSpec(3, 2, "none")], [Tensor(np.ones((3, 2))), Tensor(np.zeros(2))])
+    assert net.frozen
+    assert forward(net, Tensor(np.ones((2, 3)))).node is None
+    net.parameters[1].requires_grad = True
+    assert not net.frozen
+    assert forward(net, Tensor(np.ones((2, 3)))).node is not None
+    save_checkpoint(net.freeze(), tmp_path / "n.ukdc")
+    assert net.frozen
+    assert not load_checkpoint(tmp_path / "n.ukdc").frozen
 
 
 def test_frozen_parameters_receive_no_gradient():
