@@ -402,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=5,
                    help="number of seed blocks, 0..k-1 (default: %(default)s)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel runs across seed blocks (default: %(default)s); "
-                        "set OPENBLAS_NUM_THREADS=1 with more than one job, or the "
-                        "workers' BLAS threads compete for the cores")
+                   help="parallel runs across seed blocks, each worker on one BLAS "
+                        "thread (default: %(default)s)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")

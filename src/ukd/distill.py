@@ -9,6 +9,11 @@ normalized predictive entropy of the teacher's raw (temperature 1) softmax.
 KL argument order follows the uncommon student-first convention by default;
 ``direction="conventional"`` flips to reference-first. Both keep the
 gradient path through the live student distribution only.
+
+This module validates inputs and chooses what to build; each term, and the
+weighted sum, is one fused gradcore node (``nll_loss``, ``kl_loss``,
+``weighted_sum``) whose values and gradients are bit-identical to the
+primitive chain log_softmax, exp, sub, mul, row_sum, mean and scale.
 """
 
 from __future__ import annotations
@@ -19,18 +24,7 @@ import numpy as np
 
 from .errors import (ContractError, DistributionError, LabelError, NumericError,
                      ParameterError, ShapeError)
-from .gradcore import (
-    Tensor,
-    add,
-    detach,
-    exp,
-    log_softmax,
-    mean,
-    mul,
-    row_sum,
-    scale,
-    sub,
-)
+from .gradcore import Tensor, kl_loss, nll_loss, weighted_sum
 
 KL_DIRECTIONS = ("as_paper", "conventional")
 
@@ -129,11 +123,6 @@ def kl_div(log_q, log_p) -> np.ndarray:
     return (np.exp(lq) * (lq - lp)).sum(axis=1)
 
 
-def _kl_rows(log_a: Tensor, log_b: Tensor) -> Tensor:
-    """Graph-linked per-row KL(a || b) for log-distribution tensors."""
-    return row_sum(mul(exp(log_a), sub(log_a, log_b)))
-
-
 def _check_tau(tau: float) -> float:
     if not tau > 0:
         raise ParameterError(f"tau must be positive, got {tau}")
@@ -158,8 +147,7 @@ def hard_loss(student_logits: Tensor, labels) -> Tensor:
         raise LabelError(f"labels must lie in [0, {c})")
     onehot = np.zeros((batch, c))
     onehot[np.arange(batch), labels] = 1.0
-    picked = row_sum(mul(log_softmax(student_logits, 1.0), Tensor(onehot)))
-    return scale(mean(picked), -1.0)
+    return nll_loss(student_logits, onehot)
 
 
 def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
@@ -178,10 +166,7 @@ def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
         raise ShapeError(f"weight shape {w.shape} does not match batch {batch}")
     if not np.all((w >= 0.0) & (w <= 1.0)):
         raise ParameterError("confidence weights must lie in [0, 1]")
-    lq = log_softmax(student_logits, tau)
-    lp = detach(log_softmax(teacher_logits, tau))
-    rows = _kl_rows(lq, lp) if direction == "as_paper" else _kl_rows(lp, lq)
-    return scale(mean(mul(rows, Tensor(w))), tau * tau)
+    return kl_loss(student_logits, teacher_logits, tau, w, direction == "as_paper")
 
 
 def peer_loss(self_logits: Tensor, peer_logits: Tensor, tau: float,
@@ -189,10 +174,7 @@ def peer_loss(self_logits: Tensor, peer_logits: Tensor, tau: float,
     """Mean tau²-scaled KL toward the other student, gradients stopped at the peer."""
     tau = _check_tau(tau)
     _check_direction(direction)
-    lq_self = log_softmax(self_logits, tau)
-    lq_peer = detach(log_softmax(peer_logits, tau))
-    rows = _kl_rows(lq_self, lq_peer) if direction == "as_paper" else _kl_rows(lq_peer, lq_self)
-    return scale(mean(rows), tau * tau)
+    return kl_loss(self_logits, peer_logits, tau, None, direction == "as_paper")
 
 
 def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
@@ -208,8 +190,7 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
     for name, value in weights.items():
         if not value >= 0:
             raise ParameterError(f"{name} must be nonnegative, got {value}")
-    live = []
-    floats = []
+    live, live_weights, floats = [], [], []
     for term, weight in ((hard, alpha), (teacher, beta), (peer, gamma)):
         if term is None:
             if weight != 0.0:
@@ -218,13 +199,9 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
             continue
         floats.append(float(term.data))
         if weight != 0.0:
-            live.append(scale(term, weight))
-    if live:
-        combined = live[0]
-        for part in live[1:]:
-            combined = add(combined, part)
-    else:
-        combined = Tensor(0.0)
+            live.append(term)
+            live_weights.append(weight)
+    combined = weighted_sum(live, live_weights) if live else Tensor(0.0)
     breakdown = LossBreakdown(
         hard=floats[0], teacher=floats[1], peer=floats[2], total=float(combined.data),
         alpha=float(alpha), beta=float(beta), gamma=float(gamma), tau=float(tau),

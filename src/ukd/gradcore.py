@@ -9,6 +9,15 @@ Graphs are rebuilt on every forward pass and never reused.
 
 Every operation checks its output for NaN/Inf and raises ``NumericError``
 instead of propagating non-finite values.
+
+Training runs on fused nodes: ``dense`` (one per network layer),
+``nll_loss`` and ``kl_loss`` (one per loss term) and ``weighted_sum`` (the
+combined loss). Each replays, in value and in gradient, the numpy
+operations of the primitive chain it stands for in that chain's order, so
+its results are bit-identical to the chain's; it checks only its output
+(``dense``: its pre-activation, which relu would clip) and returns no
+gradient for a parent that takes none. The primitives remain the reference
+those nodes are tested against.
 """
 
 from __future__ import annotations
@@ -88,12 +97,20 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
-def _result(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
-    _finite_or_raise(data, op)
+def _takes_grad(t: Tensor) -> bool:
+    return t.node is not None or t.requires_grad
+
+
+def _linked(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.node is not None or p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(_takes_grad(p) for p in parents):
         out.node = Node(op, parents, grad_fn)
     return out
+
+
+def _result(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
+    _finite_or_raise(data, op)
+    return _linked(op, data, parents, grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -190,22 +207,34 @@ def log_softmax(z: Tensor, temperature: float) -> Tensor:
 
     Rows of ``exp(log_softmax(z, t))`` sum to 1 to within 1e-12.
     """
+    t = _check_logits(z, temperature)
+    out_data = _log_softmax_data(z.data, t)
+    probs = np.exp(out_data)
+
+    def grad_fn(g):
+        return (_log_softmax_adjoint(g, probs, t),)
+
+    return _result("log_softmax", out_data, (z,), grad_fn)
+
+
+def _check_logits(z: Tensor, temperature: float) -> float:
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
     if z.data.ndim != 2 or z.shape[1] < 2:
         raise ShapeError(f"log_softmax needs [batch, C>=2] logits, got {z.shape}")
-    t = float(temperature)
-    s = z.data / t
+    return float(temperature)
+
+
+def _log_softmax_data(zd: np.ndarray, t: float) -> np.ndarray:
+    s = zd / t
     m = s.max(axis=1, keepdims=True)
     shifted = s - m
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out_data = shifted - log_z
-    probs = np.exp(out_data)
+    return shifted - log_z
 
-    def grad_fn(g):
-        return ((g - probs * g.sum(axis=1, keepdims=True)) / t,)
 
-    return _result("log_softmax", out_data, (z,), grad_fn)
+def _log_softmax_adjoint(g: np.ndarray, probs: np.ndarray, t: float) -> np.ndarray:
+    return (g - probs * g.sum(axis=1, keepdims=True)) / t
 
 
 def row_sum(x: Tensor) -> Tensor:
@@ -239,6 +268,97 @@ def mean(x: Tensor) -> Tensor:
         return (np.full(shape, float(g) / n),)
 
     return _result("mean", np.asarray(x.data.mean()), (x,), grad_fn)
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """x @ w + b, then relu if asked: matmul, add and relu as one node."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"dense needs [m,k]@[k,n], got {x.shape} @ {w.shape}")
+    if b.shape != (w.shape[1],):
+        raise ShapeError(f"dense needs a [{w.shape[1]}] bias, got {b.shape}")
+    xd, wd = x.data, w.data
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = xd @ wd + b.data
+    # relu maps -inf and NaN to 0, so the pre-activation is what gets checked
+    _finite_or_raise(pre, "dense")
+    mask = pre > 0 if relu else None
+
+    def grad_fn(g):
+        if relu:
+            g = g * mask
+        return (g @ wd.T if _takes_grad(x) else None,
+                xd.T @ g if _takes_grad(w) else None,
+                g.sum(axis=0) if _takes_grad(b) else None)
+
+    return _linked("dense", np.where(mask, pre, 0.0) if relu else pre, (x, w, b), grad_fn)
+
+
+def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
+    """-mean(row_sum(log_softmax(z, 1) * onehot)) as one node."""
+    t = _check_logits(z, 1.0)
+    # overflow becomes a NumericError below; the warnings would be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls = _log_softmax_data(z.data, t)
+        probs = np.exp(ls)
+        picked = (ls * onehot).sum(axis=1)
+    n = picked.size
+
+    def grad_fn(g):
+        return (_log_softmax_adjoint((float(g * -1.0) / n) * onehot, probs, t),)
+
+    return _result("nll_loss", np.asarray(picked.mean()) * -1.0, (z,), grad_fn)
+
+
+def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
+            student_first: bool) -> Tensor:
+    """tau² · mean_i(w_i · KL_i) between the row softmaxes of z/tau and ref_logits/tau.
+
+    One node; w=None weights every row by 1. KL_i is KL(q_i || p_i) with q
+    from z when student_first, else KL(p_i || q_i). Only z takes a gradient:
+    ref_logits is read as a constant however it was produced.
+    """
+    t = _check_logits(z, tau)
+    if ref_logits.shape != z.shape:
+        raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lq = _log_softmax_data(z.data, t)
+        lp = _log_softmax_data(ref_logits.data, t)
+        probs = np.exp(lq)
+        if student_first:
+            e, d = probs, lq - lp
+        else:
+            e, d = np.exp(lp), lp - lq
+        rows = (e * d).sum(axis=1)
+        if w is not None:
+            rows = rows * w
+        value = np.asarray(rows.mean()) * (t * t)
+    n = rows.size
+
+    def grad_fn(g):
+        g_rows = float(g * (t * t)) / n
+        if w is not None:
+            g_rows = (g_rows * w)[:, None]
+        if student_first:
+            g_lq = (g_rows * e) + ((g_rows * d) * e)
+        else:
+            g_lq = -(g_rows * e)
+        return (_log_softmax_adjoint(g_lq, probs, t),)
+
+    return _result("kl_loss", value, (z,), grad_fn)
+
+
+def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
+    """weights[0]·terms[0] + weights[1]·terms[1] + ... of scalars, added left to right."""
+    weights = [float(c) for c in weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = terms[0].data * weights[0]
+        for term, c in zip(terms[1:], weights[1:], strict=True):
+            value = value + term.data * c
+
+    def grad_fn(g):
+        return tuple(g * c for c in weights)
+
+    return _result("weighted_sum", np.asarray(value), tuple(terms), grad_fn)
 
 
 def detach(x: Tensor) -> Tensor:

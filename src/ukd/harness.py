@@ -15,6 +15,7 @@ timing; the one wall-clock value is total_wall_seconds in the run summary.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import struct
@@ -513,7 +514,8 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     Rows: hard labels only; plus teacher KD (weights fixed, confidence off);
     plus confidence weighting; plus the peer term (dual mode). Each block
     pretrains one teacher reused across its rows. jobs > 1 runs blocks in
-    parallel processes; results are merged in block order either way.
+    parallel processes, each on one BLAS thread so that the workers do not
+    compete for the cores; results are merged in block order either way.
     """
     if not seeds:
         raise SpecError("ablate needs at least one seed block")
@@ -525,7 +527,8 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
         per_block = [_run_block(base_config, b, out_root) for b in seeds]
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)),
+                                 initializer=_one_blas_thread) as pool:
             per_block = list(pool.map(_run_block, *zip(*[
                 (base_config, b, out_root) for b in seeds])))
     finals = {
@@ -544,6 +547,26 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
         _write_atomic(Path(out_root) / "ablation.csv", result.csv_text().encode("ascii"))
         _write_atomic(Path(out_root) / "ablation.txt", result.table_text().encode("ascii"))
     return result
+
+
+def _openblas(name: str):
+    """OpenBLAS's ``openblas_<name>`` in the copy Linux numpy wheels bundle, or None."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for suffix in ("64_", ""):
+                fn = getattr(handle, f"{prefix}{name}{suffix}", None)
+                if fn is not None:
+                    return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread in this process, whatever its parent set."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 # ---------------------------------------------------------------- artifacts

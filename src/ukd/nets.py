@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SpecError
-from .gradcore import Tensor, add, matmul, relu
+from .gradcore import Tensor, dense
 
 ACTIVATIONS = ("none", "relu")
 
@@ -98,9 +98,7 @@ def forward(net: Network, x: Tensor) -> Tensor:
     h = x
     for layer, w, b in zip(net.layers, net.parameters[::2], net.parameters[1::2],
                            strict=True):
-        h = add(matmul(h, w), b)
-        if layer.activation == "relu":
-            h = relu(h)
+        h = dense(h, w, b, layer.activation == "relu")
     return h
 
 

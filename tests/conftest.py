@@ -2,7 +2,8 @@
 
 Acceptance tests register one line per criterion; the hook prints them after
 the normal test report so the verdicts are visible without -s. A last line
-reports the size of the package: its source lines, public names and CLI options.
+reports the size of the package (its source lines, public names and CLI
+options) and the graph nodes one default dual step builds.
 """
 
 import argparse
@@ -24,6 +25,55 @@ def acceptance_log():
     return log
 
 
+def _reachable_nodes(loss) -> int:
+    seen, stack, count = {id(loss)}, [loss], 0
+    while stack:
+        t = stack.pop()
+        if t.node is not None:
+            count += 1
+            for p in t.node.parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+    return count
+
+
+def _dual_step_graph() -> tuple[int, list[int]]:
+    """Nodes one default dual-mode train_step_dual creates, and per loss those backward reaches."""
+    import numpy as np
+
+    from ukd import gradcore, harness
+    from ukd.nets import build
+    from ukd.optim import SgdState
+
+    config = harness.TrainConfig(mode="dual")
+    teacher = build(config.teacher_spec, 1).freeze()
+    students = [build(config.student1_spec, 2), build(config.student2_spec, 3)]
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(config.batch_size, config.dataset.feature_dim))
+    y = rng.integers(0, config.dataset.num_classes, config.batch_size)
+    reached = []
+
+    def counting_backward(loss):
+        reached.append(_reachable_nodes(loss))
+        gradcore.backward(loss)
+
+    original, harness.backward = harness.backward, counting_backward
+    try:
+        first = next(gradcore._SEQ)
+        harness.train_step_dual(teacher, *students, (x, y), config,
+                                *(SgdState(s.parameters, 0.1, 0.9, 0.0) for s in students))
+        created = next(gradcore._SEQ) - first - 1
+    finally:
+        harness.backward = original
+    return created, reached
+
+
+@pytest.fixture
+def dual_step_graph():
+    return _dual_step_graph()
+
+
 def _surface() -> str:
     lines = sum(p.read_bytes().count(b"\n") for p in (SRC / "ukd").glob("*.py"))
     # a fresh interpreter, so submodules imported by tests are not counted
@@ -38,7 +88,8 @@ def _surface() -> str:
                     if isinstance(a, argparse._SubParsersAction)).choices.values()
     options = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
                   for command in commands for a in command._actions)
-    return f"surface: src/ukd {lines} lines, {count} public names, {options} cli options"
+    return (f"surface: src/ukd {lines} lines, {count} public names, {options} cli options, "
+            f"{_dual_step_graph()[0]} nodes per dual step")
 
 
 def pytest_terminal_summary(terminalreporter):

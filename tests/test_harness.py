@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ukd import harness
 from ukd.data import Dataset, DatasetSpec, batches, generate, save_dataset
 from ukd.errors import DataError, FormatError, NumericError, SpecError
 from ukd.gradcore import Tensor, backward, zero_grad
@@ -226,6 +227,14 @@ def test_dual_step_matches_scalar_transcript():
         assert abs(bd.teacher - t_term) < 1e-10
         assert abs(bd.peer - p_term) < 1e-10
         assert abs(bd.total - (0.4 * h + 0.4 * t_term + 0.2 * p_term)) < 1e-10
+
+
+def test_dual_step_builds_thirteen_graph_nodes(dual_step_graph):
+    created, reached = dual_step_graph
+    # per student: one dense node per layer (3 and 2), three loss terms, one sum
+    assert reached == [3 + 3 + 1, 2 + 3 + 1]
+    # nothing else is recorded: not the frozen teacher's forward, not the peer targets
+    assert created == 13
 
 
 def test_dual_step_leaves_teacher_untouched():
@@ -726,6 +735,25 @@ def test_ablation_parallel_matches_sequential(tmp_path):
     seq = ablate(base, [0, 1], out_root=None, jobs=1)
     par = ablate(base, [0, 1], out_root=None, jobs=2)
     assert seq.finals == par.finals
+
+
+def _report_blas_threads(*args):
+    threads = harness._openblas("get_num_threads")()
+    return {row: {"s1": threads, "s2": threads} for row in ABLATION_ROWS}
+
+
+def test_ablation_workers_run_one_blas_thread(monkeypatch):
+    set_threads = harness._openblas("set_num_threads")
+    if set_threads is None:
+        pytest.skip("numpy does not bundle OpenBLAS")
+    before = harness._openblas("get_num_threads")()
+    monkeypatch.setattr(harness, "_run_block", _report_blas_threads)
+    set_threads(2)  # the workers must not inherit this
+    try:
+        result = ablate(small_config("dual"), [0, 1], out_root=None, jobs=2)
+    finally:
+        set_threads(before)
+    assert result.finals["dual"] == {"s1": [1, 1], "s2": [1, 1]}
 
 
 def test_ablation_input_validation():
