@@ -18,6 +18,7 @@ primitive chain log_softmax, exp, sub, mul, row_sum, mean and scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ class LossBreakdown:
 
     def __post_init__(self):
         vals = (self.hard, self.teacher, self.peer, self.total)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise NumericError(f"non-finite loss component in {vals}")
         if any(v < -1e-12 for v in vals):
             raise ContractError(f"negative loss component in {vals}")
@@ -75,7 +76,10 @@ def _as_probs(probs) -> np.ndarray:
 
 def entropy(probs) -> np.ndarray:
     """Per-row -sum(p ln p) in nats, with 0·ln0 taken as 0."""
-    p = _as_probs(probs)
+    return _entropy(_as_probs(probs))
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
     return np.maximum(-terms.sum(axis=1), 0.0)
@@ -95,7 +99,7 @@ def confidence_weight(H, num_classes: int) -> np.ndarray:
 def uncertainty_stats(probs) -> UncertaintyStats:
     """Entropy and confidence of each row of a probability matrix, plus means."""
     p = _as_probs(probs)
-    h = entropy(p)
+    h = _entropy(p)
     w = confidence_weight(h, p.shape[1])
     return UncertaintyStats(
         entropy=h,

@@ -18,11 +18,24 @@ its results are bit-identical to the chain's; it checks only its output
 (``dense``: its pre-activation, which relu would clip) and returns no
 gradient for a parent that takes none. The primitives remain the reference
 those nodes are tested against.
+
+Two identities keep the hot paths short without changing a bit:
+
+* relu is ``maximum(pre, 0) + 0``. For finite ``pre`` this equals
+  ``where(pre > 0, pre, 0)`` bit for bit (the ``+ 0`` turns a -0.0 into
+  +0.0), and its gradient mask is read back as ``out > 0``, so no mask is
+  built in the forward pass.
+* An op's output computes its row (log-softmax, softmax) pair once per
+  temperature and keeps it in ``rows``; ``log_softmax``, ``nll_loss`` and
+  ``kl_loss`` all read that pair. This rests on one invariant: the data of
+  an op's output is never written in place. Leaves keep no pair, because
+  their data may be (parameters are updated, gradient checks perturb).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -67,16 +80,19 @@ class Tensor:
     """A dense float64 array with an optional gradient slot and graph link.
 
     Leaves are created directly (``requires_grad=True`` for parameters);
-    results of operations carry a ``node`` linking them into the graph.
+    results of operations carry a ``node`` linking them into the graph when
+    a parent takes a gradient, and a ``rows`` dict of row softmaxes by
+    temperature (``None`` on a leaf).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "rows")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self.node = None
+        self.rows = None
 
     @property
     def shape(self):
@@ -93,7 +109,7 @@ class Tensor:
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -103,6 +119,7 @@ def _takes_grad(t: Tensor) -> bool:
 
 def _linked(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
+    out.rows = {}
     if _GRAD_ENABLED and any(_takes_grad(p) for p in parents):
         out.node = Node(op, parents, grad_fn)
     return out
@@ -208,8 +225,7 @@ def log_softmax(z: Tensor, temperature: float) -> Tensor:
     Rows of ``exp(log_softmax(z, t))`` sum to 1 to within 1e-12.
     """
     t = _check_logits(z, temperature)
-    out_data = _log_softmax_data(z.data, t)
-    probs = np.exp(out_data)
+    out_data, probs = _softmax_rows(z, t)
 
     def grad_fn(g):
         return (_log_softmax_adjoint(g, probs, t),)
@@ -231,6 +247,17 @@ def _log_softmax_data(zd: np.ndarray, t: float) -> np.ndarray:
     shifted = s - m
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return shifted - log_z
+
+
+def _softmax_rows(z: Tensor, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row log-softmax of z/t and its exp; an op's output computes each t once."""
+    pair = None if z.rows is None else z.rows.get(t)
+    if pair is None:
+        ls = _log_softmax_data(z.data, t)
+        pair = ls, np.exp(ls)
+        if z.rows is not None:
+            z.rows[t] = pair
+    return pair
 
 
 def _log_softmax_adjoint(g: np.ndarray, probs: np.ndarray, t: float) -> np.ndarray:
@@ -281,16 +308,19 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         pre = xd @ wd + b.data
     # relu maps -inf and NaN to 0, so the pre-activation is what gets checked
     _finite_or_raise(pre, "dense")
-    mask = pre > 0 if relu else None
+    out = pre
+    if relu:  # where(pre > 0, pre, 0.0) bit for bit: + 0.0 turns -0.0 into +0.0
+        np.maximum(out, 0.0, out=out)
+        out += 0.0
 
     def grad_fn(g):
         if relu:
-            g = g * mask
+            g = g * (out > 0)
         return (g @ wd.T if _takes_grad(x) else None,
                 xd.T @ g if _takes_grad(w) else None,
                 g.sum(axis=0) if _takes_grad(b) else None)
 
-    return _linked("dense", np.where(mask, pre, 0.0) if relu else pre, (x, w, b), grad_fn)
+    return _linked("dense", out, (x, w, b), grad_fn)
 
 
 def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
@@ -298,8 +328,7 @@ def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
     t = _check_logits(z, 1.0)
     # overflow becomes a NumericError below; the warnings would be noise
     with np.errstate(over="ignore", invalid="ignore"):
-        ls = _log_softmax_data(z.data, t)
-        probs = np.exp(ls)
+        ls, probs = _softmax_rows(z, t)
         picked = (ls * onehot).sum(axis=1)
     n = picked.size
 
@@ -321,13 +350,12 @@ def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
     if ref_logits.shape != z.shape:
         raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        lq = _log_softmax_data(z.data, t)
-        lp = _log_softmax_data(ref_logits.data, t)
-        probs = np.exp(lq)
+        lq, probs = _softmax_rows(z, t)
+        lp, ref_probs = _softmax_rows(ref_logits, t)
         if student_first:
             e, d = probs, lq - lp
         else:
-            e, d = np.exp(lp), lp - lq
+            e, d = ref_probs, lp - lq
         rows = (e * d).sum(axis=1)
         if w is not None:
             rows = rows * w

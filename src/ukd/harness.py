@@ -328,6 +328,7 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     A prebuilt frozen teacher may be passed to share pretraining across runs;
     it must be byte-identical to what pretrain_teacher(config) would build,
     which holds whenever data and teacher seeds (and teacher hypers) match.
+    Its frozen state and its layers are checked before anything is written.
     """
     started = time.perf_counter()
     ds = generate(config.dataset)
@@ -336,6 +337,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     else:
         if not teacher.frozen:
             raise SpecError("injected teacher must be frozen")
+        if teacher.layers != config.teacher_spec:
+            raise SpecError("injected teacher's layers differ from config.teacher_spec")
         teacher_val = evaluate(teacher, ds, "val")["top1"]
     students = {
         "s1": build(config.student1_spec, config.seeds.student1),

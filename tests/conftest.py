@@ -3,7 +3,8 @@
 Acceptance tests register one line per criterion; the hook prints them after
 the normal test report so the verdicts are visible without -s. A last line
 reports the size of the package (its source lines, public names and CLI
-options) and the graph nodes one default dual step builds.
+options), the graph nodes one default dual step builds and the row softmaxes
+it computes.
 """
 
 import argparse
@@ -38,8 +39,9 @@ def _reachable_nodes(loss) -> int:
     return count
 
 
-def _dual_step_graph() -> tuple[int, list[int]]:
-    """Nodes one default dual-mode train_step_dual creates, and per loss those backward reaches."""
+def _dual_step_graph() -> tuple[int, list[int], int]:
+    """Nodes one default dual-mode train_step_dual creates, per loss those backward
+    reaches, and the row log-softmaxes it computes."""
     import numpy as np
 
     from ukd import gradcore, harness
@@ -52,13 +54,19 @@ def _dual_step_graph() -> tuple[int, list[int]]:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(config.batch_size, config.dataset.feature_dim))
     y = rng.integers(0, config.dataset.num_classes, config.batch_size)
-    reached = []
+    reached, softmaxes = [], []
+    log_softmax_data = gradcore._log_softmax_data
 
     def counting_backward(loss):
         reached.append(_reachable_nodes(loss))
         gradcore.backward(loss)
 
+    def counting_log_softmax_data(zd, t):
+        softmaxes.append(t)
+        return log_softmax_data(zd, t)
+
     original, harness.backward = harness.backward, counting_backward
+    gradcore._log_softmax_data = counting_log_softmax_data
     try:
         first = next(gradcore._SEQ)
         harness.train_step_dual(teacher, *students, (x, y), config,
@@ -66,7 +74,8 @@ def _dual_step_graph() -> tuple[int, list[int]]:
         created = next(gradcore._SEQ) - first - 1
     finally:
         harness.backward = original
-    return created, reached
+        gradcore._log_softmax_data = log_softmax_data
+    return created, reached, len(softmaxes)
 
 
 @pytest.fixture
@@ -88,8 +97,9 @@ def _surface() -> str:
                     if isinstance(a, argparse._SubParsersAction)).choices.values()
     options = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
                   for command in commands for a in command._actions)
+    created, _, softmaxes = _dual_step_graph()
     return (f"surface: src/ukd {lines} lines, {count} public names, {options} cli options, "
-            f"{_dual_step_graph()[0]} nodes per dual step")
+            f"{created} nodes per dual step, {softmaxes} softmaxes per dual step")
 
 
 def pytest_terminal_summary(terminalreporter):

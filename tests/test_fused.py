@@ -117,14 +117,33 @@ def test_dense_is_bitwise_its_chain(data):
     b = _leaf(_matrix(draw, 1, n, 1.0)[0])
     if draw(st.booleans()):  # first row's pre-activations exactly 0
         b.data[:] = -(x.data @ w.data)[0]
-    if draw(st.booleans()):  # a zero input row meets zero biases
+    if draw(st.booleans()):  # a zero input row meets biases of +0.0 or -0.0
         x.data[-1] = 0.0
-        b.data[: n // 2] = 0.0
+        b.data[: n // 2] = draw(st.sampled_from([0.0, -0.0]))
+    if draw(st.booleans()):  # products that underflow below zero meet biases of -0.0
+        x.data[0] = -1e-200
+        w.data[:, 0] = 1e-200
+        b.data[0] = -0.0
     seed_grad = _matrix(draw, m, n, 1.0)
     _same(lambda: dense(x, w, b, use_relu), lambda: chain_dense(x, w, b, use_relu),
           [x, w, b], seed_grad)
     if not x_grad:
         assert dense(x, w, b, use_relu).node.grad_fn(seed_grad)[0] is None
+
+
+def test_dense_relu_of_negative_zero_is_positive_zero():
+    # Each product underflows to a negative zero, and a fused multiply-add
+    # keeps the sign, so the pre-activations are -0.0 on such a BLAS.
+    x = _leaf(np.full((3, 4), -1e-200))
+    w = _leaf(np.full((4, 2), 1e-200))
+    b = _leaf([-0.0, -0.0])
+    pre = x.data @ w.data + b.data
+    if not (np.signbit(pre) & (pre == 0.0)).any():
+        pytest.skip("this BLAS sums the underflowed products to +0.0")
+    out = dense(x, w, b, True)
+    assert not np.signbit(out.data).any()
+    _same(lambda: dense(x, w, b, True), lambda: chain_dense(x, w, b, True),
+          [x, w, b], np.array([[1.0, -2.0], [-0.5, 3.0], [2.0, -1.0]]))
 
 
 # ---------------------------------------------------------------- loss terms
@@ -216,6 +235,41 @@ def test_dual_step_losses_match_chain_through_both_students():
         runs.append((loss1.data.tobytes(), loss2.data.tobytes(),
                      [leaf.grad.tobytes() for leaf in leaves]))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------- row softmaxes
+
+
+def test_leaf_logits_edited_in_place_give_fresh_losses():
+    rng = np.random.default_rng(5)
+    z = _leaf(rng.normal(size=(4, 3)))
+    ref = Tensor(rng.normal(size=(4, 3)))
+    labels, w = np.array([0, 2, 1, 1]), rng.uniform(0, 1, size=4)
+
+    def values(z, ref):
+        return hard_loss(z, labels).data.tobytes(), teacher_loss(z, ref, w, 2.0).data.tobytes()
+
+    before = values(z, ref)
+    z.data *= 3.0
+    ref.data[0] += 1.0
+    after = values(z, ref)
+    assert after != before
+    assert after == values(Tensor(z.data.copy()), Tensor(ref.data.copy()))
+
+
+def test_op_output_at_two_temperatures_gives_both_fresh_values():
+    rng = np.random.default_rng(6)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 4), (4, 3), (3,)))
+    z, peer = dense(x, w, b, False), dense(x, Tensor(rng.normal(size=(4, 3))), b, False)
+    z_fresh, peer_fresh = Tensor(z.data.copy()), Tensor(peer.data.copy())
+    for tau in (1.0, 2.5, 1.0, 2.5):
+        assert log_softmax(z, tau).data.tobytes() == log_softmax(z_fresh, tau).data.tobytes()
+        for direction in KL_DIRECTIONS:
+            assert (peer_loss(z, peer, tau, direction).data.tobytes()
+                    == peer_loss(z_fresh, peer_fresh, tau, direction).data.tobytes())
+    assert hard_loss(z, np.arange(5) % 3).data.tobytes() == \
+        hard_loss(z_fresh, np.arange(5) % 3).data.tobytes()
+    assert sorted(z.rows) == [1.0, 2.5]
 
 
 # ---------------------------------------------------------------- finite checks

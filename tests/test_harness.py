@@ -35,7 +35,8 @@ from ukd.harness import (
     train,
     train_step_dual,
 )
-from ukd.nets import LayerSpec, Network, build, compression_ratio, forward, param_count
+from ukd.nets import (LayerSpec, Network, build, compression_ratio, forward, mlp_spec,
+                      param_count)
 from ukd.optim import CosineSchedule, SgdState, lr_at, sgd_step
 from ukd.distill import UncertaintyStats, hard_loss
 
@@ -230,11 +231,17 @@ def test_dual_step_matches_scalar_transcript():
 
 
 def test_dual_step_builds_thirteen_graph_nodes(dual_step_graph):
-    created, reached = dual_step_graph
+    created, reached, _ = dual_step_graph
     # per student: one dense node per layer (3 and 2), three loss terms, one sum
     assert reached == [3 + 3 + 1, 2 + 3 + 1]
     # nothing else is recorded: not the frozen teacher's forward, not the peer targets
     assert created == 13
+
+
+def test_dual_step_computes_six_row_softmaxes(dual_step_graph):
+    # s1 and s2 at 1 and tau, the teacher at tau and 1: each logit set once per
+    # temperature, where recomputing every side of every term takes 11
+    assert dual_step_graph[2] == 6
 
 
 def test_dual_step_leaves_teacher_untouched():
@@ -497,6 +504,15 @@ def test_train_rejects_unfrozen_teacher():
     cfg = small_config("dual")
     with pytest.raises(SpecError, match="frozen"):
         train(cfg, None, teacher=build(cfg.teacher_spec, 0))
+
+
+def test_train_rejects_teacher_whose_layers_differ_from_the_config(tmp_path):
+    cfg = small_config("dual")
+    narrow = mlp_spec(cfg.dataset.feature_dim, [16], cfg.dataset.num_classes)
+    assert narrow != cfg.teacher_spec
+    with pytest.raises(SpecError, match="teacher_spec"):
+        train(cfg, tmp_path / "run", teacher=build(narrow, 0).freeze())
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_breakdowns_recombine():
