@@ -56,9 +56,9 @@ class LossBreakdown:
 
     def __post_init__(self):
         vals = (self.hard, self.teacher, self.peer, self.total)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise NumericError(f"non-finite loss component in {vals}")
-        if any(v < -1e-12 for v in vals):
+        if min(vals) < -1e-12:
             raise ContractError(f"negative loss component in {vals}")
 
 
@@ -66,10 +66,10 @@ def _as_probs(probs) -> np.ndarray:
     p = probs.data if isinstance(probs, Tensor) else np.asarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ShapeError(f"need [batch, C>=2] probabilities, got shape {p.shape}")
-    if not (p >= 0.0).all():
+    if not np.logical_and.reduce(p >= 0.0, axis=None):
         raise DistributionError("probabilities must be nonnegative")
-    sums = p.sum(axis=1)
-    if not np.abs(sums - 1.0).max() <= 1e-9:
+    sums = np.add.reduce(p, axis=1)
+    if not np.maximum.reduce(np.abs(sums - 1.0), axis=None) <= 1e-9:
         raise DistributionError(f"rows must sum to 1 within 1e-9, worst sum {sums[np.abs(sums - 1.0).argmax()]!r}")
     return p
 
@@ -82,7 +82,7 @@ def entropy(probs) -> np.ndarray:
 def _entropy(p: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p * np.log(p), 0.0)
-    return np.maximum(-terms.sum(axis=1), 0.0)
+    return np.maximum(-np.add.reduce(terms, axis=1), 0.0)
 
 
 def confidence_weight(H, num_classes: int) -> np.ndarray:
@@ -91,9 +91,10 @@ def confidence_weight(H, num_classes: int) -> np.ndarray:
         raise ParameterError(f"num_classes must be >= 2, got {num_classes}")
     h = np.asarray(H, dtype=np.float64)
     max_h = np.log(num_classes)
-    if not np.all((h >= -1e-9) & (h <= max_h + 1e-9)):
+    if not np.logical_and.reduce((h >= -1e-9) & (h <= max_h + 1e-9), axis=None):
         raise DistributionError(f"entropy outside [0, ln {num_classes}]")
-    return np.clip(1.0 - h / max_h, 0.0, 1.0)
+    # clip(·, 0, 1) bit for bit: 1 - h/max_h is finite and never -0.0 here
+    return np.minimum(np.maximum(1.0 - h / max_h, 0.0), 1.0)
 
 
 def uncertainty_stats(probs) -> UncertaintyStats:
@@ -104,8 +105,8 @@ def uncertainty_stats(probs) -> UncertaintyStats:
     return UncertaintyStats(
         entropy=h,
         weight=w,
-        mean_entropy=float(h.mean()),
-        mean_weight=float(w.mean()),
+        mean_entropy=float(np.add.reduce(h) / h.size),
+        mean_weight=float(np.add.reduce(w) / w.size),
         num_classes=p.shape[1],
     )
 
@@ -142,12 +143,13 @@ def _check_direction(direction: str) -> str:
 def hard_loss(student_logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy of the unsoftened student distribution vs labels."""
     labels = np.asarray(labels)
-    if not np.issubdtype(labels.dtype, np.integer):
+    if not issubclass(labels.dtype.type, np.integer):
         raise LabelError(f"labels must be integers, got dtype {labels.dtype}")
-    batch, c = student_logits.shape
+    batch, c = student_logits.data.shape
     if labels.shape != (batch,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
-    if (labels < 0).any() or (labels >= c).any():
+    if (np.logical_or.reduce(labels < 0, axis=None)
+            or np.logical_or.reduce(labels >= c, axis=None)):
         raise LabelError(f"labels must lie in [0, {c})")
     onehot = np.zeros((batch, c))
     onehot[np.arange(batch), labels] = 1.0
@@ -165,10 +167,10 @@ def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
     tau = _check_tau(tau)
     _check_direction(direction)
     w = np.asarray(w, dtype=np.float64)
-    batch = student_logits.shape[0]
+    batch = student_logits.data.shape[0]
     if w.shape != (batch,):
         raise ShapeError(f"weight shape {w.shape} does not match batch {batch}")
-    if not np.all((w >= 0.0) & (w <= 1.0)):
+    if not np.logical_and.reduce((w >= 0.0) & (w <= 1.0), axis=None):
         raise ParameterError("confidence weights must lie in [0, 1]")
     return kl_loss(student_logits, teacher_logits, tau, w, direction == "as_paper")
 

@@ -2,10 +2,12 @@
 
 A small define-by-run engine: every operation on linked tensors records a
 ``Node`` (parent tensors + a rule mapping the output gradient to per-parent
-contributions) tagged with a global insertion number. ``backward`` walks the
-nodes reachable from a scalar loss in reverse insertion order, which is a
-valid topological order because parents are always recorded before children.
-Graphs are rebuilt on every forward pass and never reused.
+contributions) tagged with a global insertion number. ``backward`` gathers
+the nodes reachable from a scalar loss, keyed by that number, and replays
+each once in reverse insertion order, which is a valid topological order
+because parents are always recorded before children. Leaves are not walked;
+they only receive gradient. Graphs are rebuilt on every forward pass and
+never reused.
 
 Every operation checks its output for NaN/Inf and raises ``NumericError``
 instead of propagating non-finite values.
@@ -19,7 +21,7 @@ its results are bit-identical to the chain's; it checks only its output
 gradient for a parent that takes none. The primitives remain the reference
 those nodes are tested against.
 
-Two identities keep the hot paths short without changing a bit:
+These rules keep the hot paths short without changing a bit:
 
 * relu is ``maximum(pre, 0) + 0``. For finite ``pre`` this equals
   ``where(pre > 0, pre, 0)`` bit for bit (the ``+ 0`` turns a -0.0 into
@@ -30,6 +32,13 @@ Two identities keep the hot paths short without changing a bit:
   ``kl_loss`` all read that pair. This rests on one invariant: the data of
   an op's output is never written in place. Leaves keep no pair, because
   their data may be (parameters are updated, gradient checks perturb).
+* Reductions call the ufunc itself: ``np.add.reduce``, ``np.maximum.reduce``
+  and, with ``axis=None``, ``np.logical_and.reduce`` / ``logical_or.reduce``.
+  ``.sum``, ``.max``, ``.all``, ``.any`` and ``np.all`` are Python wrappers
+  around those same calls, and ``.mean()`` is the sum true-divided by the
+  count, which ``np.add.reduce(x) / x.size`` repeats.
+* At temperature 1 the row log-softmax and its adjoint skip the division:
+  ``x / 1.0 == x`` for every float64.
 """
 
 from __future__ import annotations
@@ -109,7 +118,8 @@ class Tensor:
 
 
 def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
+    if not (math.isfinite(arr) if arr.ndim == 0
+            else np.logical_and.reduce(np.isfinite(arr), axis=None)):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -120,8 +130,11 @@ def _takes_grad(t: Tensor) -> bool:
 def _linked(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
     out.rows = {}
-    if _GRAD_ENABLED and any(_takes_grad(p) for p in parents):
-        out.node = Node(op, parents, grad_fn)
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.node is not None or p.requires_grad:
+                out.node = Node(op, parents, grad_fn)
+                break
     return out
 
 
@@ -236,16 +249,16 @@ def log_softmax(z: Tensor, temperature: float) -> Tensor:
 def _check_logits(z: Tensor, temperature: float) -> float:
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
-    if z.data.ndim != 2 or z.shape[1] < 2:
-        raise ShapeError(f"log_softmax needs [batch, C>=2] logits, got {z.shape}")
+    zd = z.data
+    if zd.ndim != 2 or zd.shape[1] < 2:
+        raise ShapeError(f"log_softmax needs [batch, C>=2] logits, got {zd.shape}")
     return float(temperature)
 
 
 def _log_softmax_data(zd: np.ndarray, t: float) -> np.ndarray:
-    s = zd / t
-    m = s.max(axis=1, keepdims=True)
-    shifted = s - m
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    s = zd if t == 1.0 else zd / t
+    shifted = s - np.maximum.reduce(s, axis=1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     return shifted - log_z
 
 
@@ -261,7 +274,8 @@ def _softmax_rows(z: Tensor, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_softmax_adjoint(g: np.ndarray, probs: np.ndarray, t: float) -> np.ndarray:
-    return (g - probs * g.sum(axis=1, keepdims=True)) / t
+    adjoint = g - probs * np.add.reduce(g, axis=1, keepdims=True)
+    return adjoint if t == 1.0 else adjoint / t
 
 
 def row_sum(x: Tensor) -> Tensor:
@@ -299,13 +313,14 @@ def mean(x: Tensor) -> Tensor:
 
 def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     """x @ w + b, then relu if asked: matmul, add and relu as one node."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ShapeError(f"dense needs [m,k]@[k,n], got {x.shape} @ {w.shape}")
-    if b.shape != (w.shape[1],):
-        raise ShapeError(f"dense needs a [{w.shape[1]}] bias, got {b.shape}")
-    xd, wd = x.data, w.data
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise ShapeError(f"dense needs [m,k]@[k,n], got {xd.shape} @ {wd.shape}")
+    if bd.shape != (wd.shape[1],):
+        raise ShapeError(f"dense needs a [{wd.shape[1]}] bias, got {bd.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        pre = xd @ wd + b.data
+        pre = xd @ wd
+        pre += bd
     # relu maps -inf and NaN to 0, so the pre-activation is what gets checked
     _finite_or_raise(pre, "dense")
     out = pre
@@ -318,7 +333,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
             g = g * (out > 0)
         return (g @ wd.T if _takes_grad(x) else None,
                 xd.T @ g if _takes_grad(w) else None,
-                g.sum(axis=0) if _takes_grad(b) else None)
+                np.add.reduce(g, axis=0) if _takes_grad(b) else None)
 
     return _linked("dense", out, (x, w, b), grad_fn)
 
@@ -329,13 +344,13 @@ def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
     # overflow becomes a NumericError below; the warnings would be noise
     with np.errstate(over="ignore", invalid="ignore"):
         ls, probs = _softmax_rows(z, t)
-        picked = (ls * onehot).sum(axis=1)
+        picked = np.add.reduce(ls * onehot, axis=1)
     n = picked.size
 
     def grad_fn(g):
         return (_log_softmax_adjoint((float(g * -1.0) / n) * onehot, probs, t),)
 
-    return _result("nll_loss", np.asarray(picked.mean()) * -1.0, (z,), grad_fn)
+    return _result("nll_loss", np.asarray(np.add.reduce(picked) / n) * -1.0, (z,), grad_fn)
 
 
 def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
@@ -347,7 +362,7 @@ def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
     ref_logits is read as a constant however it was produced.
     """
     t = _check_logits(z, tau)
-    if ref_logits.shape != z.shape:
+    if ref_logits.data.shape != z.data.shape:
         raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         lq, probs = _softmax_rows(z, t)
@@ -356,11 +371,11 @@ def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
             e, d = probs, lq - lp
         else:
             e, d = ref_probs, lp - lq
-        rows = (e * d).sum(axis=1)
+        rows = np.add.reduce(e * d, axis=1)
         if w is not None:
             rows = rows * w
-        value = np.asarray(rows.mean()) * (t * t)
-    n = rows.size
+        n = rows.size
+        value = np.asarray(np.add.reduce(rows) / n) * (t * t)
 
     def grad_fn(g):
         g_rows = float(g * (t * t)) / n
@@ -402,40 +417,36 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    seed = np.ones((), dtype=np.float64)
+    seed = np.array(1.0)
     if loss.node is None:
         if loss.requires_grad:
             _accumulate(loss, seed)
         return
 
-    # Gather every tensor reachable from the loss that owns a node, then
-    # replay their rules in reverse insertion order (children first).
-    order = []
-    seen = {id(loss)}
-    stack = [loss]
+    # Gather every node reachable from the loss, keyed by its insertion
+    # number, then replay their rules in reverse insertion order (children
+    # first). Leaves are never walked: they only receive contributions.
+    nodes = {loss.node.seq: loss.node}
+    stack = [loss.node]
     while stack:
-        t = stack.pop()
-        if t.node is None:
-            continue
-        order.append(t)
-        for p in t.node.parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    order.sort(key=lambda t: t.node.seq, reverse=True)
+        for p in stack.pop().parents:
+            node = p.node
+            if node is not None and node.seq not in nodes:
+                nodes[node.seq] = node
+                stack.append(node)
 
-    adjoint = {id(loss): seed}
-    for t in order:
-        g = adjoint.pop(id(t), None)
+    adjoint = {loss.node.seq: seed}
+    for seq in sorted(nodes, reverse=True):
+        g = adjoint.pop(seq, None)
         if g is None:
             continue
-        contribs = t.node.grad_fn(g)
-        for p, c in zip(t.node.parents, contribs):
+        node = nodes[seq]
+        for p, c in zip(node.parents, node.grad_fn(g)):
             if c is None:
                 continue
             if p.node is not None:
-                pid = id(p)
-                adjoint[pid] = adjoint[pid] + c if pid in adjoint else c
+                pseq = p.node.seq
+                adjoint[pseq] = adjoint[pseq] + c if pseq in adjoint else c
             elif p.requires_grad:
                 _accumulate(p, c)
 

@@ -201,6 +201,14 @@ class RunResult:
     students: dict[str, Network]
 
 
+class _Diverged(NumericError):
+    """A NumericError that stopped teacher pretraining at (epoch, batch)."""
+
+    def __init__(self, message: str, epoch: int, batch: int):
+        super().__init__(message)
+        self.at = (epoch, batch)
+
+
 def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     """Per-sample teacher weighting: all ones unless the mode is uncertainty-aware."""
     if mode in ("uncertainty_kd", "dual"):
@@ -230,10 +238,14 @@ def _student_loss(student_logits: Tensor, teacher_logits: Tensor, labels, w,
 
 
 def _teacher_stats(teacher: Network, x: np.ndarray):
-    """Frozen-teacher logits plus uncertainty statistics of its raw softmax."""
+    """Frozen-teacher logits plus uncertainty statistics of its raw softmax.
+
+    log_softmax keeps the row pair in t_logits.rows, where the statistics
+    read the probabilities instead of taking the exp again.
+    """
     t_logits = forward(teacher, Tensor(x))
-    probs = np.exp(log_softmax(t_logits, 1.0).data)
-    return t_logits, uncertainty_stats(probs)
+    log_softmax(t_logits, 1.0)
+    return t_logits, uncertainty_stats(t_logits.rows[1.0][1])
 
 
 def _update(loss: Tensor, opt: SgdState) -> None:
@@ -295,31 +307,55 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
                    config.weight_decay)
     for epoch in range(config.teacher_epochs):
         opt.lr = lr_at(sched, epoch)
-        for x, y in _augmented_batches(ds, config, config.seeds.teacher, epoch):
+        for batch, (x, y) in enumerate(
+                _augmented_batches(ds, config, config.seeds.teacher, epoch)):
             try:
                 loss = hard_loss(forward(teacher, Tensor(x)), y)
             except NumericError as err:
-                raise NumericError(f"hard loss term diverged: {err}") from err
+                raise _Diverged(f"hard loss term diverged: {err}", epoch, batch) from err
             _update(loss, opt)
     teacher.freeze()
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
 
 def evaluate(net: Network, ds: Dataset, split: str) -> dict[str, float]:
-    """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class."""
+    """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class.
+
+    The net must emit one logit per dataset class. Logits come in 512-row
+    chunks, and the chunk size can change their last bits: with OpenBLAS on
+    one thread, the default teacher's logits in 512-row chunks equal those of
+    64-row batches bit for bit, but in chunks of 896 rows or more (4,500
+    included) they do not.
+    """
     feats, labels = ds.split_arrays(split)
-    if feats.shape[0] == 0:
+    n = feats.shape[0]
+    if n == 0:
         raise DataError(f"split {split!r} is empty")
+    c = net.layers[-1].out_dim
+    if c != ds.num_classes:
+        raise DataError(f"net emits {c} logits, dataset has {ds.num_classes} classes")
     with no_grad():
         logits = np.vstack([
             forward(net, Tensor(feats[i: i + 512])).data
-            for i in range(0, feats.shape[0], 512)
+            for i in range(0, n, 512)
         ])
-    k = min(5, logits.shape[1])
-    order = np.argsort(-logits, axis=1, kind="stable")
-    top1 = float((order[:, 0] == labels).mean())
-    topk = float((order[:, :k] == labels[:, None]).any(axis=1).mean())
-    return {"top1": top1, "top5": topk}
+    return _accuracy(logits, labels)
+
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """Top-1 and top-k shares of rows, k = min(5, C), scored by label rank.
+
+    A label's rank is the number of classes with a higher logit, or an equal
+    logit and a lower index: its position in a stable descending sort, so
+    top-1 is rank 0 and top-k is rank < k, with no sort.
+    """
+    n, c = logits.shape
+    own = logits[np.arange(n), labels][:, None]
+    ahead = (logits > own) | ((logits == own) & (np.arange(c) < labels[:, None]))
+    rank = np.add.reduce(ahead, axis=1)
+    k = min(5, c)
+    return {"top1": float(np.add.reduce(rank == 0) / n),
+            "top5": float(np.add.reduce(rank < k) / n)}
 
 
 def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> RunResult:
@@ -329,11 +365,21 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     it must be byte-identical to what pretrain_teacher(config) would build,
     which holds whenever data and teacher seeds (and teacher hypers) match.
     Its frozen state and its layers are checked before anything is written.
+
+    A NumericError in teacher pretraining or in the student phase leaves, in
+    out_dir, a summary.json with status "diverged", the phase, the epoch and
+    batch it stopped at (null where it stopped in an evaluation) and the
+    error; then it propagates.
     """
     started = time.perf_counter()
+    run_dir = Path(out_dir) if out_dir is not None else None
     ds = generate(config.dataset)
     if teacher is None:
-        teacher, teacher_val = pretrain_teacher(config, ds)
+        try:
+            teacher, teacher_val = pretrain_teacher(config, ds)
+        except NumericError as err:
+            _record_divergence(run_dir, config, "teacher", *getattr(err, "at", (None, None)), err)
+            raise
     else:
         if not teacher.frozen:
             raise SpecError("injected teacher must be frozen")
@@ -354,38 +400,41 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     breakdowns: dict[str, list[LossBreakdown]] = {"s1": [], "s2": []}
     best: dict[str, tuple[float, list[np.ndarray]]] = {"s1": (-1.0, []), "s2": (-1.0, [])}
 
-    run_dir = Path(out_dir) if out_dir is not None else None
     metrics_fh = None
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         metrics_fh = open(run_dir / "metrics.csv", "w", encoding="ascii", newline="\n")
         metrics_fh.write(METRICS_HEADER + "\n")
 
+    epoch = batch = None
     try:
         for epoch in range(config.epochs):
             lr = lr_at(sched, epoch)
             opts["s1"].lr = opts["s2"].lr = lr
-            sums = {name: np.zeros(4) for name in students}  # hard, teacher, peer, total
+            sums = {name: [0.0] * 4 for name in students}  # hard, teacher, peer, total
             entropy_sum = weight_sum = 0.0
             seen = 0
-            for x, y in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
+            for batch, (x, y) in enumerate(
+                    _augmented_batches(ds, config, config.seeds.shuffle, epoch)):
                 bd1, bd2, stats = train_step_dual(
                     teacher, students["s1"], students["s2"], (x, y), config,
                     opts["s1"], opts["s2"])
                 n = x.shape[0]
                 for name, bd in (("s1", bd1), ("s2", bd2)):
                     breakdowns[name].append(bd)
-                    sums[name] += n * np.array([bd.hard, bd.teacher, bd.peer, bd.total])
-                entropy_sum += stats.entropy.sum()
-                weight_sum += stats.weight.sum()
+                    sums[name] = [s + n * v for s, v in
+                                  zip(sums[name], (bd.hard, bd.teacher, bd.peer, bd.total))]
+                entropy_sum += np.add.reduce(stats.entropy)
+                weight_sum += np.add.reduce(stats.weight)
                 seen += n
+            batch = None
             for name, net in students.items():
                 train_eval = evaluate(net, ds, "train")
                 val_eval = evaluate(net, ds, "val")
-                means = sums[name] / seen
+                means = [s / seen for s in sums[name]]
                 record = MetricsRecord(
-                    epoch=epoch, student=name, hard=float(means[0]),
-                    teacher=float(means[1]), peer=float(means[2]), total=float(means[3]),
+                    epoch=epoch, student=name, hard=means[0],
+                    teacher=means[1], peer=means[2], total=means[3],
                     train_top1=train_eval["top1"],
                     val_top1=val_eval["top1"], val_top5=val_eval["top5"],
                     mean_entropy=float(entropy_sum / seen),
@@ -397,6 +446,9 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
                     metrics_fh.write(record.csv_row() + "\n")
                 if val_eval["top1"] > best[name][0]:
                     best[name] = (val_eval["top1"], [p.data.copy() for p in net.parameters])
+    except NumericError as err:
+        _record_divergence(run_dir, config, "students", epoch, batch, err)
+        raise
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
@@ -409,9 +461,25 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
             save_checkpoint(net, run_dir / f"student_{name}_final.ukdc")
             snapshot = Network(net.layers, [Tensor(a) for a in best[name][1]])
             save_checkpoint(snapshot, run_dir / f"student_{name}_best.ukdc")
-        _write_atomic(run_dir / "summary.json",
-                      (json.dumps(summary, indent=2) + "\n").encode("ascii"))
+        _write_summary(run_dir, summary)
     return RunResult(run_dir, records, breakdowns, summary, teacher, students)
+
+
+def _write_summary(run_dir: Path, summary: dict) -> None:
+    _write_atomic(run_dir / "summary.json",
+                  (json.dumps(summary, indent=2) + "\n").encode("ascii"))
+
+
+def _record_divergence(run_dir: Path | None, config: TrainConfig, phase: str,
+                       epoch: int | None, batch: int | None, err: NumericError) -> None:
+    """The summary.json of a run a NumericError stopped: where it stopped and why."""
+    if run_dir is None:
+        return
+    run_dir.mkdir(parents=True, exist_ok=True)
+    _write_summary(run_dir, {
+        "status": "diverged", "phase": phase, "epoch": epoch, "batch": batch,
+        "error": str(err), "mode": config.mode, "config": _config_echo(config),
+    })
 
 
 def _summarize(config, teacher, teacher_val, students, records, best, wall_total):

@@ -3,14 +3,16 @@
 Acceptance tests register one line per criterion; the hook prints them after
 the normal test report so the verdicts are visible without -s. A last line
 reports the size of the package (its source lines, public names and CLI
-options), the graph nodes one default dual step builds and the row softmaxes
-it computes.
+options), the graph nodes one default dual step builds, the row softmaxes
+it computes and the Python function calls it makes.
 """
 
 import argparse
+import functools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,21 +41,34 @@ def _reachable_nodes(loss) -> int:
     return count
 
 
-def _dual_step_graph() -> tuple[int, list[int], int]:
-    """Nodes one default dual-mode train_step_dual creates, per loss those backward
-    reaches, and the row log-softmaxes it computes."""
+def _dual_step():
+    """A default dual-mode train_step_dual on fresh networks, as a no-argument call.
+
+    A partial, not a lambda, so a profile of the call sees only the step's own calls.
+    """
     import numpy as np
 
-    from ukd import gradcore, harness
+    from ukd import harness
     from ukd.nets import build
     from ukd.optim import SgdState
 
     config = harness.TrainConfig(mode="dual")
     teacher = build(config.teacher_spec, 1).freeze()
     students = [build(config.student1_spec, 2), build(config.student2_spec, 3)]
+    opts = [SgdState(s.parameters, 0.1, 0.9, 0.0) for s in students]
     rng = np.random.default_rng(0)
     x = rng.normal(size=(config.batch_size, config.dataset.feature_dim))
     y = rng.integers(0, config.dataset.num_classes, config.batch_size)
+    return functools.partial(harness.train_step_dual, teacher, *students, (x, y), config,
+                             *opts)
+
+
+def _dual_step_graph() -> tuple[int, list[int], int]:
+    """Nodes one default dual-mode train_step_dual creates, per loss those backward
+    reaches, and the row log-softmaxes it computes."""
+    from ukd import gradcore, harness
+
+    step = _dual_step()
     reached, softmaxes = [], []
     log_softmax_data = gradcore._log_softmax_data
 
@@ -69,8 +84,7 @@ def _dual_step_graph() -> tuple[int, list[int], int]:
     gradcore._log_softmax_data = counting_log_softmax_data
     try:
         first = next(gradcore._SEQ)
-        harness.train_step_dual(teacher, *students, (x, y), config,
-                                *(SgdState(s.parameters, 0.1, 0.9, 0.0) for s in students))
+        step()
         created = next(gradcore._SEQ) - first - 1
     finally:
         harness.backward = original
@@ -81,6 +95,29 @@ def _dual_step_graph() -> tuple[int, list[int], int]:
 @pytest.fixture
 def dual_step_graph():
     return _dual_step_graph()
+
+
+def _dual_step_calls() -> Counter:
+    """Python function calls of one warm default dual step, by the file defining each."""
+    step = _dual_step()
+    step()  # the counted step then meets no first-call work
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[Path(frame.f_code.co_filename).as_posix()] += 1
+
+    sys.setprofile(profile)
+    try:
+        step()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.fixture
+def dual_step_calls():
+    return _dual_step_calls()
 
 
 def _surface() -> str:
@@ -98,8 +135,10 @@ def _surface() -> str:
     options = sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
                   for command in commands for a in command._actions)
     created, _, softmaxes = _dual_step_graph()
+    calls = sum(_dual_step_calls().values())
     return (f"surface: src/ukd {lines} lines, {count} public names, {options} cli options, "
-            f"{created} nodes per dual step, {softmaxes} softmaxes per dual step")
+            f"{created} nodes per dual step, {softmaxes} softmaxes per dual step, "
+            f"{calls} python calls per dual step")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -267,7 +267,11 @@ def test_train_numeric_abort_exits_3(capsys):
     rc = main(["train", "--mode", "dual", "--eta0", "1e30",
                "--out", "diverged"] + TINY)
     assert rc == 3
-    assert "numeric abort" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric abort" in err
+    summary = json.loads(Path("diverged", "summary.json").read_text())
+    assert (summary["status"], summary["phase"]) == ("diverged", "teacher")
+    assert err == f"numeric abort: {summary['error']}\n"
 
 
 def test_train_refuses_occupied_directory(tmp_path, capsys):

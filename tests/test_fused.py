@@ -5,6 +5,10 @@ weighted total) must reproduce the chain of primitive ops it stands for
 exactly: the same output bytes and the same gradient bytes for every parent
 that takes a gradient. The chains below are the reference; they are built
 only from gradcore primitives.
+
+The lean forms of the step (direct ufunc reductions, no division by a
+temperature of 1, the node-only backward walk, rank-based scoring) are
+checked the same way against the plain numpy forms they replace.
 """
 
 import numpy as np
@@ -12,10 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukd.distill import KL_DIRECTIONS, hard_loss, peer_loss, teacher_loss, total_loss
+from ukd.distill import (KL_DIRECTIONS, confidence_weight, hard_loss, peer_loss,
+                         teacher_loss, total_loss, uncertainty_stats)
 from ukd.errors import NumericError
 from ukd.gradcore import (
     Tensor,
+    _accumulate,
+    _log_softmax_adjoint,
+    _log_softmax_data,
     add,
     backward,
     dense,
@@ -31,7 +39,7 @@ from ukd.gradcore import (
     sub,
     tensor_sum,
 )
-from ukd.harness import TrainConfig, _student_loss
+from ukd.harness import TrainConfig, _accuracy, _student_loss
 
 # ---------------------------------------------------------------- reference chains
 
@@ -305,3 +313,159 @@ def test_non_finite_intermediate_in_a_term_is_named(term, direction):
     with pytest.raises(NumericError, match=f"{term} loss term diverged"):
         _student_loss(_leaf(z), Tensor(t_logits), np.array([0, 1]), np.ones(2), config,
                       _leaf(peer_logits))
+
+
+# ---------------------------------------------------------------- lean forms
+
+
+def _plain_log_softmax_data(zd, t):
+    s = zd / t
+    m = s.max(axis=1, keepdims=True)
+    shifted = s - m
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted - log_z
+
+
+def _plain_log_softmax_adjoint(g, probs, t):
+    return (g - probs * g.sum(axis=1, keepdims=True)) / t
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+def _with_zeros(draw, arr):
+    """arr with a drawn set of entries replaced by +0.0 or -0.0."""
+    for i in draw(st.lists(st.integers(0, arr.size - 1), max_size=arr.size)):
+        arr.flat[i] = draw(SIGNED_ZEROS)
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([1.0, 0.5, 2.0, 4.0, 3.7]))
+def test_log_softmax_skips_only_an_identity_division(data, t):
+    draw = data.draw
+    batch, c = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    zd = _with_zeros(draw, _matrix(draw, batch, c, draw(SCALES)))
+    g = _with_zeros(draw, _matrix(draw, batch, c, draw(SCALES)))
+    ls = _log_softmax_data(zd, t)
+    assert ls.tobytes() == _plain_log_softmax_data(zd, t).tobytes()
+    probs = np.exp(ls)
+    assert (_log_softmax_adjoint(g, probs, t).tobytes()
+            == _plain_log_softmax_adjoint(g, probs, t).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-1e6, 1e6), SIGNED_ZEROS), min_size=1, max_size=300))
+def test_reduce_over_size_is_the_mean(values):
+    x = np.array(values)
+    assert np.asarray(np.add.reduce(x) / x.size).tobytes() == np.asarray(x.mean()).tobytes()
+    m = np.vstack([x, x[::-1]])
+    assert np.add.reduce(m, axis=1).tobytes() == m.sum(axis=1).tobytes()
+    assert np.maximum.reduce(m, axis=1).tobytes() == m.max(axis=1).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 12))
+def test_uncertainty_means_and_weights_match_the_plain_forms(data, c):
+    draw = data.draw
+    batch = draw(st.integers(1, 40))
+    logits = _matrix(draw, batch, c, draw(SCALES))
+    for i in draw(st.lists(st.integers(0, batch - 1), max_size=batch)):
+        logits[i] = draw(st.sampled_from([0.0, 1e4]))  # uniform row: entropy ln C
+        if logits[i, 0] == 1e4:
+            logits[i] = 0.0
+            logits[i, 0] = 1e4  # one-hot row: entropy exactly 0
+    probs = np.exp(_log_softmax_data(logits, 1.0))
+    stats = uncertainty_stats(probs)
+    assert stats.mean_entropy == float(stats.entropy.mean())
+    assert stats.mean_weight == float(stats.weight.mean())
+    h = stats.entropy
+    assert (stats.weight.tobytes()
+            == np.clip(1.0 - h / np.log(c), 0.0, 1.0).tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.lists(st.sampled_from(["zero", "max", "below", "above", "any"]),
+                                    min_size=1, max_size=20), st.data())
+def test_confidence_weight_is_the_clip_form(c, kinds, data):
+    max_h = np.log(c)
+    pick = {"zero": lambda: 0.0, "max": lambda: float(max_h),
+            "below": lambda: -data.draw(st.floats(0.0, 1e-9)),
+            "above": lambda: float(max_h) + data.draw(st.floats(0.0, 1e-9)),
+            "any": lambda: data.draw(st.floats(0.0, float(max_h)))}
+    h = np.array([pick[kind]() for kind in kinds])
+    assert (confidence_weight(h, c).tobytes()
+            == np.clip(1.0 - h / max_h, 0.0, 1.0).tobytes())
+
+
+def _parent_backward(loss):
+    """The backward walk over every reachable tensor, leaves included, kept as a reference."""
+    seed = np.ones((), dtype=np.float64)
+    order, seen, stack = [], {id(loss)}, [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is None:
+            continue
+        order.append(t)
+        for p in t.node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    order.sort(key=lambda t: t.node.seq, reverse=True)
+    adjoint = {id(loss): seed}
+    for t in order:
+        g = adjoint.pop(id(t), None)
+        if g is None:
+            continue
+        for p, c in zip(t.node.parents, t.node.grad_fn(g)):
+            if c is None:
+                continue
+            if p.node is not None:
+                pid = id(p)
+                adjoint[pid] = adjoint[pid] + c if pid in adjoint else c
+            elif p.requires_grad:
+                _accumulate(p, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_backward_is_bitwise_the_full_walk(data):
+    draw = data.draw
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    a = _leaf(_matrix(draw, m, n, draw(SCALES)))  # feeds two ops
+    b = _leaf(_matrix(draw, m, n, draw(SCALES)))
+    frozen = Tensor(_matrix(draw, m, n, 1.0))
+
+    def build():
+        h = mul(a, b)  # feeds three ops, so three contributions are summed into it
+        parts = [exp(scale(h, 0.1)), mul(h, a), sub(h, frozen)]
+        return tensor_sum(add(add(parts[0], parts[1]), parts[2]))
+
+    grads = []
+    for walk in (backward, _parent_backward):
+        a.grad = b.grad = None
+        walk(build())
+        grads.append((a.grad.tobytes(), b.grad.tobytes(), frozen.grad))
+    assert grads[0] == grads[1]
+
+
+def _plain_accuracy(logits, labels):
+    k = min(5, logits.shape[1])
+    order = np.argsort(-logits, axis=1, kind="stable")
+    return {"top1": float((order[:, 0] == labels).mean()),
+            "top5": float((order[:, :k] == labels[:, None]).any(axis=1).mean())}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([2, 4, 10]))
+def test_rank_scoring_is_the_stable_argsort(data, c):
+    draw = data.draw
+    n = draw(st.integers(1, 30))
+    # few distinct values, so most rows hold ties, and both signs of zero
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300])
+    logits = np.array(draw(st.lists(values, min_size=n * c, max_size=n * c))).reshape(n, c)
+    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    fast, plain = _accuracy(logits, labels), _plain_accuracy(logits, labels)
+    assert ({k: np.float64(v).tobytes() for k, v in fast.items()}
+            == {k: np.float64(v).tobytes() for k, v in plain.items()})

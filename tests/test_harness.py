@@ -7,6 +7,7 @@ reproducibility down to file bytes, and the checkpoint format.
 
 import errno
 import hashlib
+import json
 import math
 import struct
 from pathlib import Path
@@ -244,6 +245,15 @@ def test_dual_step_computes_six_row_softmaxes(dual_step_graph):
     assert dual_step_graph[2] == 6
 
 
+def test_warm_dual_step_makes_no_numpy_wrapper_calls(dual_step_calls):
+    # .sum/.mean/.max/.all/.any, np.all and np.clip pass through these Python
+    # wrappers on their way to a ufunc; the step calls the ufuncs directly
+    wrappers = {name: n for name, n in dual_step_calls.items()
+                if "/numpy/" in name and name.endswith(("/_methods.py", "/fromnumeric.py"))}
+    assert wrappers == {}
+    assert dual_step_calls[Path(harness.__file__).as_posix()] > 0  # the step was profiled
+
+
 def test_dual_step_leaves_teacher_untouched():
     ds = generate(SMALL_DATA)
     cfg = small_config("dual")
@@ -376,6 +386,35 @@ def test_runaway_lr_aborts_with_numeric_error():
         train(cfg, None)
 
 
+def _diverged_summary(run_dir, err):
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert summary["status"] == "diverged"
+    assert summary["error"] == str(err)
+    assert summary["config"]["eta0"] == 1e30
+    return summary["phase"], summary["epoch"], summary["batch"]
+
+
+def test_diverged_student_phase_leaves_a_summary(tmp_path):
+    teacher, _ = pretrain_teacher(small_config("dual"))  # trained at a sane rate
+    cfg = small_config("dual", eta0=1e30, epochs=2)
+    with pytest.raises(NumericError) as info:
+        train(cfg, tmp_path / "run", teacher=teacher)
+    phase, epoch, batch = _diverged_summary(tmp_path / "run", info.value)
+    assert (phase, epoch) == ("students", 0)
+    assert 0 <= batch < math.ceil(len(generate(SMALL_DATA).train_indices) / cfg.batch_size)
+    # no epoch finished, so metrics.csv holds its header only
+    assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
+
+def test_diverged_teacher_phase_leaves_a_summary(tmp_path):
+    cfg = small_config("dual", eta0=1e30, epochs=2)
+    with pytest.raises(NumericError, match="hard loss term diverged") as info:
+        train(cfg, tmp_path / "run")
+    phase, epoch, batch = _diverged_summary(tmp_path / "run", info.value)
+    assert (phase, epoch) == ("teacher", 0) and batch >= 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["summary.json"]
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -436,6 +475,13 @@ def test_evaluate_topk_covers_all_classes_when_c_small():
     result = evaluate(net, ds, "val")
     assert result["top5"] == 1.0
     assert 0.0 <= result["top1"] <= 1.0
+
+
+def test_evaluate_refuses_a_net_with_another_class_count():
+    # a 4-logit net cannot rank labels 4..9; it is refused, not scored
+    net = build([LayerSpec(10, 4, "none")], 0)
+    with pytest.raises(DataError, match="4 logits, dataset has 10 classes"):
+        evaluate(net, one_hot_dataset(), "val")
 
 
 def test_evaluate_empty_split_is_a_data_error():
@@ -550,6 +596,7 @@ def test_train_summary_contents(tmp_path):
         assert block["best_val_top1"] == max(per_epoch)
     assert s["total_wall_seconds"] > 0.0
     assert s["config"]["mode"] == "dual"
+    assert "status" not in s  # only a diverged run's summary has one
     assert (tmp_path / "run" / "summary.json").exists()
 
 
