@@ -278,6 +278,10 @@ def _read_run(run_dir) -> tuple[dict, list[dict]]:
                         "(missing summary.json or metrics.csv)")
     with open(summary_path, encoding="ascii") as fh:
         summary = json.load(fh)
+    if summary.get("status") == "diverged":
+        raise DataError(f"{run_dir} is a diverged run (phase {summary['phase']}, "
+                        f"epoch {summary['epoch']}, batch {summary['batch']}): "
+                        f"{summary['error']}")
     with open(metrics_path, encoding="ascii", newline="") as fh:
         rows = list(csv.DictReader(fh))
     return summary, rows

@@ -32,13 +32,12 @@ These rules keep the hot paths short without changing a bit:
   ``kl_loss`` all read that pair. This rests on one invariant: the data of
   an op's output is never written in place. Leaves keep no pair, because
   their data may be (parameters are updated, gradient checks perturb).
+  ``row_softmax`` hands the softmax of that pair to code outside the graph.
 * Reductions call the ufunc itself: ``np.add.reduce``, ``np.maximum.reduce``
   and, with ``axis=None``, ``np.logical_and.reduce`` / ``logical_or.reduce``.
   ``.sum``, ``.max``, ``.all``, ``.any`` and ``np.all`` are Python wrappers
   around those same calls, and ``.mean()`` is the sum true-divided by the
   count, which ``np.add.reduce(x) / x.size`` repeats.
-* At temperature 1 the row log-softmax and its adjoint skip the division:
-  ``x / 1.0 == x`` for every float64.
 """
 
 from __future__ import annotations
@@ -246,6 +245,15 @@ def log_softmax(z: Tensor, temperature: float) -> Tensor:
     return _result("log_softmax", out_data, (z,), grad_fn)
 
 
+def row_softmax(z: Tensor, temperature: float) -> np.ndarray:
+    """Row softmax of z/temperature as plain data; records no node.
+
+    It reads the pair a ``log_softmax`` of the same tensor and temperature
+    keeps, so after that call it takes no exp.
+    """
+    return _softmax_rows(z, _check_logits(z, temperature))[1]
+
+
 def _check_logits(z: Tensor, temperature: float) -> float:
     if not temperature > 0:
         raise ParameterError(f"temperature must be positive, got {temperature}")
@@ -256,7 +264,7 @@ def _check_logits(z: Tensor, temperature: float) -> float:
 
 
 def _log_softmax_data(zd: np.ndarray, t: float) -> np.ndarray:
-    s = zd if t == 1.0 else zd / t
+    s = zd / t
     shifted = s - np.maximum.reduce(s, axis=1, keepdims=True)
     log_z = np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     return shifted - log_z
@@ -274,8 +282,7 @@ def _softmax_rows(z: Tensor, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_softmax_adjoint(g: np.ndarray, probs: np.ndarray, t: float) -> np.ndarray:
-    adjoint = g - probs * np.add.reduce(g, axis=1, keepdims=True)
-    return adjoint if t == 1.0 else adjoint / t
+    return (g - probs * np.add.reduce(g, axis=1, keepdims=True)) / t
 
 
 def row_sum(x: Tensor) -> Tensor:

@@ -37,7 +37,7 @@ from .distill import (
     uncertainty_stats,
 )
 from .errors import DataError, FormatError, NumericError, SpecError
-from .gradcore import Tensor, backward, log_softmax, no_grad, zero_grad
+from .gradcore import Tensor, backward, log_softmax, no_grad, row_softmax, zero_grad
 from .nets import (
     ACTIVATIONS,
     LayerSpec,
@@ -201,14 +201,6 @@ class RunResult:
     students: dict[str, Network]
 
 
-class _Diverged(NumericError):
-    """A NumericError that stopped teacher pretraining at (epoch, batch)."""
-
-    def __init__(self, message: str, epoch: int, batch: int):
-        super().__init__(message)
-        self.at = (epoch, batch)
-
-
 def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     """Per-sample teacher weighting: all ones unless the mode is uncertainty-aware."""
     if mode in ("uncertainty_kd", "dual"):
@@ -240,12 +232,12 @@ def _student_loss(student_logits: Tensor, teacher_logits: Tensor, labels, w,
 def _teacher_stats(teacher: Network, x: np.ndarray):
     """Frozen-teacher logits plus uncertainty statistics of its raw softmax.
 
-    log_softmax keeps the row pair in t_logits.rows, where the statistics
-    read the probabilities instead of taking the exp again.
+    log_softmax checks the teacher's log-probabilities are finite and keeps
+    the row pair on t_logits, so row_softmax takes no second exp.
     """
     t_logits = forward(teacher, Tensor(x))
     log_softmax(t_logits, 1.0)
-    return t_logits, uncertainty_stats(t_logits.rows[1.0][1])
+    return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
 
 
 def _update(loss: Tensor, opt: SgdState) -> None:
@@ -312,7 +304,9 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
             try:
                 loss = hard_loss(forward(teacher, Tensor(x)), y)
             except NumericError as err:
-                raise _Diverged(f"hard loss term diverged: {err}", epoch, batch) from err
+                diverged = NumericError(f"hard loss term diverged: {err}")
+                diverged.at = (epoch, batch)  # where train's diverged summary says it stopped
+                raise diverged from err
             _update(loss, opt)
     teacher.freeze()
     return teacher, evaluate(teacher, ds, "val")["top1"]
@@ -321,19 +315,16 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
 def evaluate(net: Network, ds: Dataset, split: str) -> dict[str, float]:
     """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class.
 
-    The net must emit one logit per dataset class. Logits come in 512-row
-    chunks, and the chunk size can change their last bits: with OpenBLAS on
-    one thread, the default teacher's logits in 512-row chunks equal those of
-    64-row batches bit for bit, but in chunks of 896 rows or more (4,500
-    included) they do not.
+    A row whose label has no logit (label >= C) is a miss. Logits come in
+    512-row chunks, and the chunk size can change their last bits: with
+    OpenBLAS on one thread, the default teacher's logits in 512-row chunks
+    equal those of 64-row batches bit for bit, but in chunks of 896 rows or
+    more (4,500 included) they do not.
     """
     feats, labels = ds.split_arrays(split)
     n = feats.shape[0]
     if n == 0:
         raise DataError(f"split {split!r} is empty")
-    c = net.layers[-1].out_dim
-    if c != ds.num_classes:
-        raise DataError(f"net emits {c} logits, dataset has {ds.num_classes} classes")
     with no_grad():
         logits = np.vstack([
             forward(net, Tensor(feats[i: i + 512])).data
@@ -347,15 +338,18 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
 
     A label's rank is the number of classes with a higher logit, or an equal
     logit and a lower index: its position in a stable descending sort, so
-    top-1 is rank 0 and top-k is rank < k, with no sort.
+    top-1 is rank 0 and top-k is rank < k, with no sort. A label outside
+    [0, C) has no logit, so its row is a miss, as it is in the sort.
     """
     n, c = logits.shape
-    own = logits[np.arange(n), labels][:, None]
-    ahead = (logits > own) | ((logits == own) & (np.arange(c) < labels[:, None]))
+    safe = np.clip(labels, 0, c - 1)
+    scored = labels == safe
+    own = logits[np.arange(n), safe][:, None]
+    ahead = (logits > own) | ((logits == own) & (np.arange(c) < safe[:, None]))
     rank = np.add.reduce(ahead, axis=1)
     k = min(5, c)
-    return {"top1": float(np.add.reduce(rank == 0) / n),
-            "top5": float(np.add.reduce(rank < k) / n)}
+    return {"top1": float(np.add.reduce(scored & (rank == 0)) / n),
+            "top5": float(np.add.reduce(scored & (rank < k)) / n)}
 
 
 def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> RunResult:

@@ -19,7 +19,7 @@ from ukd.cli import _assemble_config, build_parser, main, parse_config, render_c
 from ukd.data import DatasetSpec, generate, load_dataset
 from ukd.distill import KL_DIRECTIONS
 from ukd.errors import ContractError, NumericError, SpecError
-from ukd.harness import MODES, TrainConfig, Seeds
+from ukd.harness import MODES, Seeds, TrainConfig, pretrain_teacher, train
 from ukd.nets import default_student1_spec
 
 TINY_TEACHER = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
@@ -546,6 +546,22 @@ def test_report_missing_dir_exits_2(tmp_path, capsys):
     assert main(["report", "--baseline", str(tmp_path / "gone"),
                  "--ours", str(tmp_path / "gone2")]) == 2
     assert "not a run directory" in capsys.readouterr().err
+
+
+def test_report_on_a_diverged_run_exits_2(tmp_path, capsys):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    assert main(["train", "--mode", "kd", "--out", str(good)] + TINY) == 0
+    # a sane teacher, then students at a runaway rate: summary.json and a
+    # header-only metrics.csv are left behind
+    cfg = TrainConfig(mode="dual", epochs=2, teacher_epochs=2, batch_size=32,
+                      dataset=DatasetSpec(num_classes=4, samples_per_class=40,
+                                          feature_dim=8, overlap_sigma=0.5))
+    teacher, _ = pretrain_teacher(cfg)
+    with pytest.raises(NumericError):
+        train(replace(cfg, eta0=1e30), bad, teacher=teacher)
+    capsys.readouterr()
+    assert main(["report", "--baseline", str(good), "--ours", str(bad)]) == 2
+    assert "is a diverged run (phase students, epoch 0, batch " in capsys.readouterr().err
 
 
 def test_report_incompatible_epochs_exits_2(tmp_path):

@@ -6,9 +6,9 @@ exactly: the same output bytes and the same gradient bytes for every parent
 that takes a gradient. The chains below are the reference; they are built
 only from gradcore primitives.
 
-The lean forms of the step (direct ufunc reductions, no division by a
-temperature of 1, the node-only backward walk, rank-based scoring) are
-checked the same way against the plain numpy forms they replace.
+The lean forms of the step (direct ufunc reductions, the node-only
+backward walk, rank-based scoring) are checked the same way against the
+plain numpy forms they replace.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ukd.distill import (KL_DIRECTIONS, confidence_weight, hard_loss, peer_loss,
                          teacher_loss, total_loss, uncertainty_stats)
-from ukd.errors import NumericError
+from ukd.errors import NumericError, ParameterError
 from ukd.gradcore import (
     Tensor,
     _accumulate,
@@ -34,6 +34,7 @@ from ukd.gradcore import (
     mean,
     mul,
     relu,
+    row_softmax,
     row_sum,
     scale,
     sub,
@@ -280,6 +281,22 @@ def test_op_output_at_two_temperatures_gives_both_fresh_values():
     assert sorted(z.rows) == [1.0, 2.5]
 
 
+def test_row_softmax_is_the_exp_of_log_softmax():
+    rng = np.random.default_rng(7)
+    leaf = Tensor(rng.normal(size=(5, 3)) * 4.0)
+    z = dense(Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(4, 3))),
+              Tensor(rng.normal(size=3)), False)
+    for tensor in (leaf, z):
+        for tau in (1.0, 2.5):
+            ls = log_softmax(tensor, tau)
+            probs = row_softmax(tensor, tau)
+            assert probs.tobytes() == np.exp(ls.data).tobytes()
+    # an op's output hands back the pair log_softmax kept: no second exp
+    assert row_softmax(z, 2.5) is row_softmax(z, 2.5)
+    with pytest.raises(ParameterError):
+        row_softmax(z, 0.0)
+
+
 # ---------------------------------------------------------------- finite checks
 
 
@@ -342,7 +359,7 @@ def _with_zeros(draw, arr):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from([1.0, 0.5, 2.0, 4.0, 3.7]))
-def test_log_softmax_skips_only_an_identity_division(data, t):
+def test_log_softmax_reductions_are_the_wrapper_forms(data, t):
     draw = data.draw
     batch, c = draw(st.integers(1, 6)), draw(st.integers(2, 6))
     zd = _with_zeros(draw, _matrix(draw, batch, c, draw(SCALES)))
@@ -464,7 +481,8 @@ def test_rank_scoring_is_the_stable_argsort(data, c):
     # few distinct values, so most rows hold ties, and both signs of zero
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 1e-300])
     logits = np.array(draw(st.lists(values, min_size=n * c, max_size=n * c))).reshape(n, c)
-    labels = np.array(draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n)),
+    # labels c and c + 1 have no logit, as for a net with fewer classes than its data
+    labels = np.array(draw(st.lists(st.integers(0, c + 1), min_size=n, max_size=n)),
                       dtype=np.int64)
     fast, plain = _accuracy(logits, labels), _plain_accuracy(logits, labels)
     assert ({k: np.float64(v).tobytes() for k, v in fast.items()}

@@ -9,6 +9,7 @@ import errno
 import hashlib
 import json
 import math
+import pickle
 import struct
 from pathlib import Path
 
@@ -413,6 +414,15 @@ def test_diverged_teacher_phase_leaves_a_summary(tmp_path):
     phase, epoch, batch = _diverged_summary(tmp_path / "run", info.value)
     assert (phase, epoch) == ("teacher", 0) and batch >= 0
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["summary.json"]
+    # ablate's workers pickle it back to the parent process
+    again = pickle.loads(pickle.dumps(info.value))
+    assert (type(again), str(again), again.at) == (NumericError, str(info.value), (0, batch))
+
+
+def test_diverged_teacher_in_a_parallel_ladder_is_a_numeric_error():
+    cfg = small_config("dual", eta0=1e30, epochs=2)
+    with pytest.raises(NumericError, match="hard loss term diverged"):
+        ablate(cfg, [0, 1], out_root=None, jobs=2)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -477,11 +487,16 @@ def test_evaluate_topk_covers_all_classes_when_c_small():
     assert 0.0 <= result["top1"] <= 1.0
 
 
-def test_evaluate_refuses_a_net_with_another_class_count():
-    # a 4-logit net cannot rank labels 4..9; it is refused, not scored
-    net = build([LayerSpec(10, 4, "none")], 0)
-    with pytest.raises(DataError, match="4 logits, dataset has 10 classes"):
-        evaluate(net, one_hot_dataset(), "val")
+def test_evaluate_scores_a_net_with_another_class_count():
+    ds = one_hot_dataset()
+    wide = build([LayerSpec(10, 12, "none")], 0)  # logits 10 and 11 match no label
+    wide.parameters[0].data[:] = np.eye(10, 12)
+    wide.parameters[1].data[:] = 0.0
+    assert evaluate(wide, ds, "val") == {"top1": 1.0, "top5": 1.0}
+    narrow = build([LayerSpec(10, 4, "none")], 0)  # labels 4..9 have no logit: misses
+    narrow.parameters[0].data[:] = np.eye(10, 4)
+    narrow.parameters[1].data[:] = 0.0
+    assert evaluate(narrow, ds, "val") == {"top1": 0.4, "top5": 0.4}
 
 
 def test_evaluate_empty_split_is_a_data_error():
