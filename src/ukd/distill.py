@@ -80,8 +80,8 @@ def entropy(probs) -> np.ndarray:
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    # log only where p > 0, 0 elsewhere: 0·ln0 is 0 and no log(0) is taken
+    terms = p * np.log(p, out=np.zeros(p.shape), where=p > 0.0)
     return np.maximum(-np.add.reduce(terms, axis=1), 0.0)
 
 

@@ -10,7 +10,11 @@ they only receive gradient. Graphs are rebuilt on every forward pass and
 never reused.
 
 Every operation checks its output for NaN/Inf and raises ``NumericError``
-instead of propagating non-finite values.
+instead of propagating non-finite values; no op changes numpy's error state.
+The entry points that report the error (``harness.train``, ``pretrain_teacher``
+and ``evaluate``) ignore overflow and invalid values for their whole call, so
+a run that diverges shows no RuntimeWarning. An op called directly on data
+that overflows gives numpy's RuntimeWarning along with the ``NumericError``.
 
 Training runs on fused nodes: ``dense`` (one per network layer),
 ``nll_loss`` and ``kl_loss`` (one per loss term) and ``weighted_sum`` (the
@@ -151,10 +155,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return g @ bd.T, ad.T @ g
 
-    # overflow becomes a NumericError in _result; the warning would be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ad @ bd
-    return _result("matmul", value, (a, b), grad_fn)
+    return _result("matmul", ad @ bd, (a, b), grad_fn)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -167,9 +168,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g, g.sum(axis=0)
     else:
         raise ShapeError(f"add needs equal shapes or [m,n]+[n], got {a.shape} + {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = a.data + b.data
-    return _result("add", value, (a, b), grad_fn)
+    return _result("add", a.data + b.data, (a, b), grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -179,9 +178,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return g, -g
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = a.data - b.data
-    return _result("sub", value, (a, b), grad_fn)
+    return _result("sub", a.data - b.data, (a, b), grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -193,9 +190,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return g * bd, g * ad
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = ad * bd
-    return _result("mul", value, (a, b), grad_fn)
+    return _result("mul", ad * bd, (a, b), grad_fn)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -205,9 +200,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     def grad_fn(g):
         return (g * c,)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = x.data * c
-    return _result("scale", value, (x,), grad_fn)
+    return _result("scale", x.data * c, (x,), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -221,9 +214,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    # Overflow surfaces as NumericError via the finite check, not as a warning.
-    with np.errstate(over="ignore"):
-        out_data = np.exp(x.data)
+    out_data = np.exp(x.data)
 
     def grad_fn(g):
         return (g * out_data,)
@@ -325,9 +316,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         raise ShapeError(f"dense needs [m,k]@[k,n], got {xd.shape} @ {wd.shape}")
     if bd.shape != (wd.shape[1],):
         raise ShapeError(f"dense needs a [{wd.shape[1]}] bias, got {bd.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pre = xd @ wd
-        pre += bd
+    pre = xd @ wd
+    pre += bd
     # relu maps -inf and NaN to 0, so the pre-activation is what gets checked
     _finite_or_raise(pre, "dense")
     out = pre
@@ -348,10 +338,8 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
 def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
     """-mean(row_sum(log_softmax(z, 1) * onehot)) as one node."""
     t = _check_logits(z, 1.0)
-    # overflow becomes a NumericError below; the warnings would be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        ls, probs = _softmax_rows(z, t)
-        picked = np.add.reduce(ls * onehot, axis=1)
+    ls, probs = _softmax_rows(z, t)
+    picked = np.add.reduce(ls * onehot, axis=1)
     n = picked.size
 
     def grad_fn(g):
@@ -371,18 +359,17 @@ def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
     t = _check_logits(z, tau)
     if ref_logits.data.shape != z.data.shape:
         raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lq, probs = _softmax_rows(z, t)
-        lp, ref_probs = _softmax_rows(ref_logits, t)
-        if student_first:
-            e, d = probs, lq - lp
-        else:
-            e, d = ref_probs, lp - lq
-        rows = np.add.reduce(e * d, axis=1)
-        if w is not None:
-            rows = rows * w
-        n = rows.size
-        value = np.asarray(np.add.reduce(rows) / n) * (t * t)
+    lq, probs = _softmax_rows(z, t)
+    lp, ref_probs = _softmax_rows(ref_logits, t)
+    if student_first:
+        e, d = probs, lq - lp
+    else:
+        e, d = ref_probs, lp - lq
+    rows = np.add.reduce(e * d, axis=1)
+    if w is not None:
+        rows = rows * w
+    n = rows.size
+    value = np.asarray(np.add.reduce(rows) / n) * (t * t)
 
     def grad_fn(g):
         g_rows = float(g * (t * t)) / n
@@ -400,10 +387,9 @@ def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
 def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
     """weights[0]·terms[0] + weights[1]·terms[1] + ... of scalars, added left to right."""
     weights = [float(c) for c in weights]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = terms[0].data * weights[0]
-        for term, c in zip(terms[1:], weights[1:], strict=True):
-            value = value + term.data * c
+    value = terms[0].data * weights[0]
+    for term, c in zip(terms[1:], weights[1:], strict=True):
+        value = value + term.data * c
 
     def grad_fn(g):
         return tuple(g * c for c in weights)

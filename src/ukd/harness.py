@@ -66,6 +66,9 @@ ABLATION_ROWS = MODES
 UKDC_MAGIC = b"UKDC"
 UKDC_VERSION = 1
 
+# The entry points that report a NumericError run under it (see gradcore).
+_QUIET_FP = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class Seeds:
@@ -208,25 +211,26 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _student_loss(student_logits: Tensor, teacher_logits: Tensor, labels, w,
+def _student_loss(name: str, student_logits: Tensor, teacher_logits: Tensor, labels, w,
                   config: TrainConfig, peer_logits: Tensor):
-    """One student's combined loss; zero-weighted terms are never built, a diverged one is named."""
+    """Student ``name``'s combined loss; zero-weighted terms go unbuilt, a diverged one is named."""
     hard = teach = peer = None
-    term = "hard"
+    term = "hard loss term"
     try:
         if config.alpha != 0.0:
             hard = hard_loss(student_logits, labels)
-        term = "teacher"
+        term = "teacher loss term"
         if config.beta != 0.0:
             teach = teacher_loss(student_logits, teacher_logits, w, config.tau,
                                  config.kl_direction)
-        term = "peer"
+        term = "peer loss term"
         if config.gamma != 0.0:
             peer = peer_loss(student_logits, peer_logits, config.tau, config.kl_direction)
+        term = "loss sum"
+        return total_loss(hard, teach, peer, config.alpha, config.beta, config.gamma,
+                          tau=config.tau)
     except NumericError as err:
-        raise NumericError(f"{term} loss term diverged: {err}") from err
-    return total_loss(hard, teach, peer, config.alpha, config.beta, config.gamma,
-                      tau=config.tau)
+        raise NumericError(f"{name} {term} diverged: {err}") from err
 
 
 def _teacher_stats(teacher: Network, x: np.ndarray):
@@ -273,17 +277,24 @@ def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
         raise DataError("empty batch")
     if not teacher.frozen:
         raise SpecError("teacher must be frozen before student training")
-    t_logits, stats = _teacher_stats(teacher, x)
+    stage = "teacher"
+    try:
+        t_logits, stats = _teacher_stats(teacher, x)
+        stage = "s1"
+        z1 = forward(s1, Tensor(x))
+        stage = "s2"
+        z2 = forward(s2, Tensor(x))
+    except NumericError as err:
+        raise NumericError(f"{stage} forward diverged: {err}") from err
     w = confidence_for_mode(config.mode, stats)
-    z1 = forward(s1, Tensor(x))
-    z2 = forward(s2, Tensor(x))
-    loss1, bd1 = _student_loss(z1, t_logits, y, w, config, z2)
-    loss2, bd2 = _student_loss(z2, t_logits, y, w, config, z1)
+    loss1, bd1 = _student_loss("s1", z1, t_logits, y, w, config, z2)
+    loss2, bd2 = _student_loss("s2", z2, t_logits, y, w, config, z1)
     _update(loss1, opt1)
     _update(loss2, opt2)
     return bd1, bd2, stats
 
 
+@_QUIET_FP
 def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
                      ) -> tuple[Network, float]:
     """Supervised training of the teacher, then freeze; returns (net, val top-1).
@@ -301,10 +312,13 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
         opt.lr = lr_at(sched, epoch)
         for batch, (x, y) in enumerate(
                 _augmented_batches(ds, config, config.seeds.teacher, epoch)):
+            stage = "teacher forward"
             try:
-                loss = hard_loss(forward(teacher, Tensor(x)), y)
+                logits = forward(teacher, Tensor(x))
+                stage = "teacher hard loss term"
+                loss = hard_loss(logits, y)
             except NumericError as err:
-                diverged = NumericError(f"hard loss term diverged: {err}")
+                diverged = NumericError(f"{stage} diverged: {err}")
                 diverged.at = (epoch, batch)  # where train's diverged summary says it stopped
                 raise diverged from err
             _update(loss, opt)
@@ -312,6 +326,7 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
 
+@_QUIET_FP
 def evaluate(net: Network, ds: Dataset, split: str) -> dict[str, float]:
     """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class.
 
@@ -352,6 +367,7 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
             "top5": float(np.add.reduce(scored & (rank < k)) / n)}
 
 
+@_QUIET_FP
 def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> RunResult:
     """Run one full training per the config; write metrics/checkpoints if out_dir.
 
@@ -556,19 +572,15 @@ def _ablation_config(base: TrainConfig, mode: str, block: int) -> TrainConfig:
 
 
 def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, float]]:
-    """All four ladder rows for one seed block, sharing one pretrained teacher."""
+    """All four ladder rows for one seed block; the hard_only row's train pretrains the teacher."""
     teacher: Network | None = None
     finals: dict[str, dict[str, float]] = {}
     for mode in ABLATION_ROWS:
-        config = _ablation_config(base, mode, block)
-        if teacher is None:
-            teacher, _ = pretrain_teacher(config)
         run_dir = None if out_root is None else Path(out_root) / f"{mode}-block{block}"
-        result = train(config, run_dir, teacher=teacher)
-        finals[mode] = {
-            name: result.summary["students"][name]["final_val_top1"]
-            for name in ("s1", "s2")
-        }
+        result = train(_ablation_config(base, mode, block), run_dir, teacher=teacher)
+        teacher = result.teacher
+        finals[mode] = {name: result.summary["students"][name]["final_val_top1"]
+                        for name in ("s1", "s2")}
     return finals
 
 

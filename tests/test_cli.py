@@ -6,7 +6,10 @@ abort. Determinism is checked at the file-byte level.
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -272,6 +275,19 @@ def test_train_numeric_abort_exits_3(capsys):
     summary = json.loads(Path("diverged", "summary.json").read_text())
     assert (summary["status"], summary["phase"]) == ("diverged", "teacher")
     assert err == f"numeric abort: {summary['error']}\n"
+
+
+@pytest.mark.parametrize("command", [["train", "--mode", "dual"],
+                                     ["ablate", "--seeds", "2", "--jobs", "2"]])
+def test_numeric_abort_is_the_only_line_on_stderr(tmp_path, command):
+    # a subprocess, because pytest's warning capture would hide a RuntimeWarning from capsys
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "ukd.cli", *command, "--eta0", "1e30", "--out", "run", *TINY],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 3
+    assert re.fullmatch(r"numeric abort: teacher forward diverged: [^\n]*\n", done.stderr)
 
 
 def test_train_refuses_occupied_directory(tmp_path, capsys):

@@ -309,6 +309,7 @@ def test_composed_op_gradients_match_finite_differences(seed):
 # ---------------------------------------------------------------- engine behavior
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an op called directly warns too
 def test_forward_non_finite_raises():
     with pytest.raises(NumericError):
         exp(Tensor([1000.0]))
