@@ -10,10 +10,14 @@ KL argument order follows the uncommon student-first convention by default;
 ``direction="conventional"`` flips to reference-first. Both keep the
 gradient path through the live student distribution only.
 
-This module validates inputs and chooses what to build; each term, and the
-weighted sum, is one fused gradcore node (``nll_loss``, ``kl_loss``,
-``weighted_sum``) whose values and gradients are bit-identical to the
-primitive chain log_softmax, exp, sub, mul, row_sum, mean and scale.
+Each term, and the weighted sum, validates its inputs once and builds its
+own fused graph node, labelled ``nll_loss``, ``kl_loss`` or ``weighted_sum``.
+A node reads the row-softmax memo through ``gradcore._softmax_rows`` and is
+checked and linked by ``gradcore._result``; its value and gradient are
+bit-identical to the gradcore primitive chain log_softmax, exp, sub, mul,
+row_sum, mean and scale, which remains their reference. Bad arguments raise
+``ShapeError``, ``LabelError`` or ``ParameterError``; ``NumericError`` means
+the arithmetic overflowed.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .errors import (ContractError, DistributionError, LabelError, NumericError,
                      ParameterError, ShapeError)
-from .gradcore import Tensor, kl_loss, nll_loss, weighted_sum
+from .gradcore import Tensor, _check_logits, _log_softmax_adjoint, _result, _softmax_rows
 
 KL_DIRECTIONS = ("as_paper", "conventional")
 
@@ -128,24 +132,18 @@ def kl_div(log_q, log_p) -> np.ndarray:
     return (np.exp(lq) * (lq - lp)).sum(axis=1)
 
 
-def _check_tau(tau: float) -> float:
-    if not tau > 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    return float(tau)
-
-
-def _check_direction(direction: str) -> str:
-    if direction not in KL_DIRECTIONS:
-        raise ParameterError(f"direction {direction!r} not in {KL_DIRECTIONS}")
-    return direction
-
-
 def hard_loss(student_logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy of the unsoftened student distribution vs labels."""
+    """Mean cross-entropy of the unsoftened student distribution vs labels.
+
+    One node, labelled ``nll_loss``: -mean(row_sum(log_softmax(z, 1) * onehot)).
+    """
     labels = np.asarray(labels)
     if not issubclass(labels.dtype.type, np.integer):
         raise LabelError(f"labels must be integers, got dtype {labels.dtype}")
+    t = _check_logits(student_logits, 1.0)
     batch, c = student_logits.data.shape
+    if batch == 0:
+        raise ShapeError("hard_loss needs a batch of at least one row")
     if labels.shape != (batch,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
     if (np.logical_or.reduce(labels < 0, axis=None)
@@ -153,7 +151,63 @@ def hard_loss(student_logits: Tensor, labels) -> Tensor:
         raise LabelError(f"labels must lie in [0, {c})")
     onehot = np.zeros((batch, c))
     onehot[np.arange(batch), labels] = 1.0
-    return nll_loss(student_logits, onehot)
+    ls, probs = _softmax_rows(student_logits, t)
+    picked = np.add.reduce(ls * onehot, axis=1)
+
+    def grad_fn(g):
+        return (_log_softmax_adjoint((float(g * -1.0) / batch) * onehot, probs, t),)
+
+    return _result("nll_loss", np.asarray(np.add.reduce(picked) / batch) * -1.0,
+                   (student_logits,), grad_fn)
+
+
+def _kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
+             direction: str) -> Tensor:
+    """tau² · mean_i(w_i · KL_i) between the row softmaxes of z/tau and ref_logits/tau.
+
+    One node, labelled ``kl_loss``; w=None weights every row by 1. KL_i is
+    KL(q_i || p_i) with q from z under "as_paper", else KL(p_i || q_i). Only
+    z takes a gradient: ref_logits is read as a constant however it was
+    produced.
+    """
+    t = _check_logits(z, tau)
+    if t == math.inf:
+        raise ParameterError(f"tau must be finite, got {tau}")
+    if direction not in KL_DIRECTIONS:
+        raise ParameterError(f"direction {direction!r} not in {KL_DIRECTIONS}")
+    batch = z.data.shape[0]
+    if batch == 0:
+        raise ShapeError("a KL loss term needs a batch of at least one row")
+    if ref_logits.data.shape != z.data.shape:
+        raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
+    if w is not None:
+        if w.shape != (batch,):
+            raise ShapeError(f"weight shape {w.shape} does not match batch {batch}")
+        if not np.logical_and.reduce((w >= 0.0) & (w <= 1.0), axis=None):
+            raise ParameterError("confidence weights must lie in [0, 1]")
+    as_paper = direction == "as_paper"
+    lq, probs = _softmax_rows(z, t)
+    lp, ref_probs = _softmax_rows(ref_logits, t)
+    if as_paper:
+        e, d = probs, lq - lp
+    else:
+        e, d = ref_probs, lp - lq
+    rows = np.add.reduce(e * d, axis=1)
+    if w is not None:
+        rows = rows * w
+    value = np.asarray(np.add.reduce(rows) / batch) * (t * t)
+
+    def grad_fn(g):
+        g_rows = float(g * (t * t)) / batch
+        if w is not None:
+            g_rows = (g_rows * w)[:, None]
+        if as_paper:
+            g_lq = (g_rows * e) + ((g_rows * d) * e)
+        else:
+            g_lq = -(g_rows * e)
+        return (_log_softmax_adjoint(g_lq, probs, t),)
+
+    return _result("kl_loss", value, (z,), grad_fn)
 
 
 def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
@@ -164,23 +218,14 @@ def teacher_loss(student_logits: Tensor, teacher_logits: Tensor, w, tau: float,
     into the student logits only; the teacher side is detached regardless of
     how its logits were produced.
     """
-    tau = _check_tau(tau)
-    _check_direction(direction)
-    w = np.asarray(w, dtype=np.float64)
-    batch = student_logits.data.shape[0]
-    if w.shape != (batch,):
-        raise ShapeError(f"weight shape {w.shape} does not match batch {batch}")
-    if not np.logical_and.reduce((w >= 0.0) & (w <= 1.0), axis=None):
-        raise ParameterError("confidence weights must lie in [0, 1]")
-    return kl_loss(student_logits, teacher_logits, tau, w, direction == "as_paper")
+    return _kl_loss(student_logits, teacher_logits, tau, np.asarray(w, dtype=np.float64),
+                    direction)
 
 
 def peer_loss(self_logits: Tensor, peer_logits: Tensor, tau: float,
               direction: str = "as_paper") -> Tensor:
     """Mean tau²-scaled KL toward the other student, gradients stopped at the peer."""
-    tau = _check_tau(tau)
-    _check_direction(direction)
-    return kl_loss(self_logits, peer_logits, tau, None, direction == "as_paper")
+    return _kl_loss(self_logits, peer_logits, tau, None, direction)
 
 
 def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
@@ -188,15 +233,16 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
                tau: float = 1.0) -> tuple[Tensor, LossBreakdown]:
     """alpha·hard + beta·teacher + gamma·peer as one scalar, plus the record.
 
-    A zero-weighted component never enters the combined graph, so it cannot
-    perturb gradients or reproducibility; its value is still recorded when
-    the tensor was computed. A None component requires weight zero.
+    The live terms are summed left to right as one node, labelled
+    ``weighted_sum``. A zero-weighted component never enters it, so it
+    cannot perturb gradients or reproducibility; its value is still recorded
+    when the tensor was computed. A None component requires weight zero.
     """
     weights = {"alpha": alpha, "beta": beta, "gamma": gamma}
     for name, value in weights.items():
-        if not value >= 0:
-            raise ParameterError(f"{name} must be nonnegative, got {value}")
-    live, live_weights, floats = [], [], []
+        if not 0 <= value < math.inf:
+            raise ParameterError(f"{name} must be finite and nonnegative, got {value}")
+    live, live_weights, floats, total = [], [], [], None
     for term, weight in ((hard, alpha), (teacher, beta), (peer, gamma)):
         if term is None:
             if weight != 0.0:
@@ -205,9 +251,18 @@ def total_loss(hard: Tensor | None, teacher: Tensor | None, peer: Tensor | None,
             continue
         floats.append(float(term.data))
         if weight != 0.0:
+            c = float(weight)
+            total = term.data * c if total is None else total + term.data * c
             live.append(term)
-            live_weights.append(weight)
-    combined = weighted_sum(live, live_weights) if live else Tensor(0.0)
+            live_weights.append(c)
+
+    def grad_fn(g):
+        return [g * c for c in live_weights]
+
+    if live:
+        combined = _result("weighted_sum", np.asarray(total), tuple(live), grad_fn)
+    else:
+        combined = Tensor(0.0)
     breakdown = LossBreakdown(
         hard=floats[0], teacher=floats[1], peer=floats[2], total=float(combined.data),
         alpha=float(alpha), beta=float(beta), gamma=float(gamma), tau=float(tau),

@@ -16,14 +16,15 @@ and ``evaluate``) ignore overflow and invalid values for their whole call, so
 a run that diverges shows no RuntimeWarning. An op called directly on data
 that overflows gives numpy's RuntimeWarning along with the ``NumericError``.
 
-Training runs on fused nodes: ``dense`` (one per network layer),
-``nll_loss`` and ``kl_loss`` (one per loss term) and ``weighted_sum`` (the
-combined loss). Each replays, in value and in gradient, the numpy
-operations of the primitive chain it stands for in that chain's order, so
-its results are bit-identical to the chain's; it checks only its output
-(``dense``: its pre-activation, which relu would clip) and returns no
-gradient for a parent that takes none. The primitives remain the reference
-those nodes are tested against.
+Training runs on fused nodes: ``dense`` here (one per network layer), and
+the loss nodes that ``distill`` builds itself through ``_softmax_rows`` and
+``_result`` (``nll_loss`` and ``kl_loss``, one per loss term, and
+``weighted_sum``, the combined loss). Each replays, in value and in
+gradient, the numpy operations of the primitive chain it stands for in that
+chain's order, so its results are bit-identical to the chain's; it checks
+only its output (``dense``: its pre-activation, which relu would clip) and
+returns no gradient for a parent that takes none. The primitives here remain
+the reference chain those nodes are tested against.
 
 These rules keep the hot paths short without changing a bit:
 
@@ -32,10 +33,11 @@ These rules keep the hot paths short without changing a bit:
   +0.0), and its gradient mask is read back as ``out > 0``, so no mask is
   built in the forward pass.
 * An op's output computes its row (log-softmax, softmax) pair once per
-  temperature and keeps it in ``rows``; ``log_softmax``, ``nll_loss`` and
-  ``kl_loss`` all read that pair. This rests on one invariant: the data of
-  an op's output is never written in place. Leaves keep no pair, because
-  their data may be (parameters are updated, gradient checks perturb).
+  temperature and keeps it in ``rows``; ``log_softmax`` and the loss nodes
+  all read that pair through ``_softmax_rows``. This rests on one
+  invariant: the data of an op's output is never written in place. Leaves
+  keep no pair, because their data may be (parameters are updated,
+  gradient checks perturb).
   ``row_softmax`` hands the softmax of that pair to code outside the graph.
 * Reductions call the ufunc itself: ``np.add.reduce``, ``np.maximum.reduce``
   and, with ``axis=None``, ``np.logical_and.reduce`` / ``logical_or.reduce``.
@@ -333,68 +335,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
                 np.add.reduce(g, axis=0) if _takes_grad(b) else None)
 
     return _linked("dense", out, (x, w, b), grad_fn)
-
-
-def nll_loss(z: Tensor, onehot: np.ndarray) -> Tensor:
-    """-mean(row_sum(log_softmax(z, 1) * onehot)) as one node."""
-    t = _check_logits(z, 1.0)
-    ls, probs = _softmax_rows(z, t)
-    picked = np.add.reduce(ls * onehot, axis=1)
-    n = picked.size
-
-    def grad_fn(g):
-        return (_log_softmax_adjoint((float(g * -1.0) / n) * onehot, probs, t),)
-
-    return _result("nll_loss", np.asarray(np.add.reduce(picked) / n) * -1.0, (z,), grad_fn)
-
-
-def kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
-            student_first: bool) -> Tensor:
-    """tau² · mean_i(w_i · KL_i) between the row softmaxes of z/tau and ref_logits/tau.
-
-    One node; w=None weights every row by 1. KL_i is KL(q_i || p_i) with q
-    from z when student_first, else KL(p_i || q_i). Only z takes a gradient:
-    ref_logits is read as a constant however it was produced.
-    """
-    t = _check_logits(z, tau)
-    if ref_logits.data.shape != z.data.shape:
-        raise ShapeError(f"kl_loss needs equal logit shapes, got {z.shape} and {ref_logits.shape}")
-    lq, probs = _softmax_rows(z, t)
-    lp, ref_probs = _softmax_rows(ref_logits, t)
-    if student_first:
-        e, d = probs, lq - lp
-    else:
-        e, d = ref_probs, lp - lq
-    rows = np.add.reduce(e * d, axis=1)
-    if w is not None:
-        rows = rows * w
-    n = rows.size
-    value = np.asarray(np.add.reduce(rows) / n) * (t * t)
-
-    def grad_fn(g):
-        g_rows = float(g * (t * t)) / n
-        if w is not None:
-            g_rows = (g_rows * w)[:, None]
-        if student_first:
-            g_lq = (g_rows * e) + ((g_rows * d) * e)
-        else:
-            g_lq = -(g_rows * e)
-        return (_log_softmax_adjoint(g_lq, probs, t),)
-
-    return _result("kl_loss", value, (z,), grad_fn)
-
-
-def weighted_sum(terms: list[Tensor], weights: list[float]) -> Tensor:
-    """weights[0]·terms[0] + weights[1]·terms[1] + ... of scalars, added left to right."""
-    weights = [float(c) for c in weights]
-    value = terms[0].data * weights[0]
-    for term, c in zip(terms[1:], weights[1:], strict=True):
-        value = value + term.data * c
-
-    def grad_fn(g):
-        return tuple(g * c for c in weights)
-
-    return _result("weighted_sum", np.asarray(value), tuple(terms), grad_fn)
 
 
 def detach(x: Tensor) -> Tensor:

@@ -1,5 +1,7 @@
 """Loss mathematics: oracle values, bounds, scaling identities, gradient flow."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import log_softmax as sp_log_softmax
@@ -194,6 +196,10 @@ def test_hard_loss_rejects_bad_labels():
         hard_loss(logits, np.array([0.5, 1.0]))
     with pytest.raises(ShapeError):
         hard_loss(logits, np.array([0, 1, 2]))
+    with pytest.raises(ShapeError):  # 1-D logits
+        hard_loss(Tensor(np.zeros(3)), np.array([0, 1, 2]))
+    with pytest.raises(ShapeError):  # 3-D logits
+        hard_loss(Tensor(np.zeros((2, 3, 4))), np.array([0, 1]))
 
 
 def test_hard_loss_gradient_matches_finite_differences():
@@ -393,6 +399,52 @@ def test_total_loss_rejects_bad_weights():
         total_loss(_scalar(1.0), None, None, 0.5, 0.5, 0.0)  # missing term, nonzero weight
     with pytest.raises(ParameterError):
         total_loss(_scalar(1.0), _scalar(1.0), _scalar(1.0), np.nan, 0.5, 0.5)
+
+
+# ---------------------------------------------------------------- bad arguments
+
+
+def _two_rows():
+    return Tensor(np.array([[1.0, 2.0, 3.0], [0.0, 5.0, 1.0]])), Tensor(np.eye(2, 3))
+
+
+@pytest.mark.parametrize("term", ["hard", "teacher", "peer"])
+def test_loss_terms_reject_an_empty_batch_before_any_arithmetic(term):
+    z, ref = Tensor(np.zeros((0, 3)), requires_grad=True), Tensor(np.zeros((0, 3)))
+    build = {"hard": lambda: hard_loss(z, np.zeros(0, dtype=np.int64)),
+             "teacher": lambda: teacher_loss(z, ref, np.zeros(0), 4.0),
+             "peer": lambda: peer_loss(z, ref, 4.0)}[term]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError):
+            build()
+        # the softmaxes themselves still take a 0-row batch
+        assert log_softmax(ref, 4.0).shape == (0, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda z, ref: teacher_loss(z, ref, np.ones(2), np.inf),
+    lambda z, ref: peer_loss(z, ref, np.inf),
+    lambda z, ref: peer_loss(z, ref, np.inf, direction="conventional"),
+    lambda z, ref: total_loss(hard_loss(z, [0, 1]), None, None, np.inf, 0.0, 0.0),
+    lambda z, ref: total_loss(None, peer_loss(z, ref, 4.0), None, 0.0, np.inf, 0.0),
+    lambda z, ref: total_loss(None, None, peer_loss(z, ref, 4.0), 0.0, 0.0, np.inf),
+], ids=["teacher-tau", "peer-tau", "peer-tau-conventional", "alpha", "beta", "gamma"])
+def test_non_finite_parameters_are_parameter_errors(build):
+    z, ref = _two_rows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError):
+            build(z, ref)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_tau_whose_square_overflows_is_a_numeric_error():
+    z, ref = _two_rows()
+    with pytest.raises(NumericError, match="^kl_loss produced non-finite values$"):
+        peer_loss(z, ref, 1e200)
+    # an infinite temperature is a valid softmax: every row is uniform
+    np.testing.assert_array_equal(log_softmax(z, np.inf).data, np.full((2, 3), -np.log(3.0)))
 
 
 def test_loss_breakdown_rejects_corrupt_components():

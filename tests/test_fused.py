@@ -1,10 +1,11 @@
 """Fused graph nodes against the primitive chains they replace, bit for bit.
 
-Each fused node (one per dense layer, one per loss term, one for the
-weighted total) must reproduce the chain of primitive ops it stands for
-exactly: the same output bytes and the same gradient bytes for every parent
-that takes a gradient. The chains below are the reference; they are built
-only from gradcore primitives.
+Each fused node (gradcore's ``dense``, one per layer, and the nodes the
+distill loss terms build: one per term and one for the weighted total) must
+reproduce the chain of primitive ops it stands for exactly: the same output
+bytes and the same gradient bytes for every parent that takes a gradient.
+The chains below are the reference; they are built only from gradcore
+primitives.
 
 The lean forms of the step (direct ufunc reductions, the node-only
 backward walk, rank-based scoring) are checked the same way against the
