@@ -61,12 +61,9 @@ from .nets import (
     Network,
     build,
     compression_ratio,
-    default_student1_spec,
-    default_student2_spec,
-    default_teacher_spec,
     forward,
     param_count,
 )
-from .optim import CosineSchedule, SgdState, lr_at, sgd_step
+from .optim import SgdState, lr_at, sgd_step
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ with the flags given merged over them; each command takes only the flags it read
 
 The default output root is ./runs, overridable with UKD_RUN_ROOT.
 No command writes into a non-empty directory it did not just create,
-except explicit -o targets.
+except explicit -o targets. A config that cannot run is refused when it is
+built (exit 2), before any directory is claimed or any work starts.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .harness import (
     save_checkpoint,
     train,
 )
-from .nets import LayerSpec, compression_ratio, mlp_spec, param_count
+from .nets import DEFAULT_WIDTHS, LayerSpec, compression_ratio, mlp_spec, param_count
 
 MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
               "dual": "dual"}
@@ -67,7 +68,7 @@ def _scalar_fields(cls) -> dict[str, type]:
 # Sections whose keys are the scalar fields of a dataclass, with their value types.
 _FIELDS = {"run": _scalar_fields(TrainConfig), "dataset": _scalar_fields(DatasetSpec),
            "seeds": _scalar_fields(Seeds)}
-_ARCH_KEYS = ("teacher", "student1", "student2")
+_ARCH_KEYS = tuple(DEFAULT_WIDTHS)
 # The config file keys each ablation row sets itself: its mode and loss
 # weights, and the seed streams of its seed block.
 _ROW_KEYS = (*[("run", key) for key in ("mode", "alpha", "beta", "gamma")],

@@ -3,7 +3,8 @@
 Class means sit on the unit sphere; samples spread around them with an
 isotropic overlap_sigma. The overlap is the point: it makes some regions
 genuinely ambiguous, so a trained classifier's confidence varies from sample
-to sample instead of saturating at 1.
+to sample instead of saturating at 1. A DatasetSpec checks its fields when
+it is built, so generate takes any spec that exists.
 
 Features are stored raw. Normalization statistics come from the training
 split only; both splits are normalized with them at batch time. The split
@@ -14,6 +15,7 @@ the identical split and statistics.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ SPLITS = ("train", "val")
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Generation recipe; every field participates in reproducibility."""
+    """Generation recipe, checked when built; every field participates in reproducibility."""
 
     num_classes: int = 10
     samples_per_class: int = 500
@@ -39,20 +41,19 @@ class DatasetSpec:
     seed: int = 0
     val_fraction: float = 0.1
 
-
-def _validate_spec(spec: DatasetSpec) -> None:
-    if spec.num_classes < 2:
-        raise SpecError(f"num_classes must be >= 2, got {spec.num_classes}")
-    if spec.feature_dim < 2:
-        raise SpecError(f"feature_dim must be >= 2, got {spec.feature_dim}")
-    if spec.samples_per_class < 1:
-        raise SpecError(f"samples_per_class must be >= 1, got {spec.samples_per_class}")
-    if not spec.overlap_sigma > 0:
-        raise SpecError(f"overlap_sigma must be positive, got {spec.overlap_sigma}")
-    if not 0.0 < spec.val_fraction < 1.0:
-        raise SpecError(f"val_fraction must lie in (0,1), got {spec.val_fraction}")
-    if spec.seed < 0:
-        raise SpecError(f"seed must be nonnegative, got {spec.seed}")
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise SpecError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.feature_dim < 2:
+            raise SpecError(f"feature_dim must be >= 2, got {self.feature_dim}")
+        if self.samples_per_class < 1:
+            raise SpecError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        if not 0 < self.overlap_sigma < math.inf:
+            raise SpecError(f"overlap_sigma must be positive and finite, got {self.overlap_sigma}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise SpecError(f"val_fraction must lie in (0,1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass
@@ -81,7 +82,6 @@ class Dataset:
 
 def class_means(spec: DatasetSpec) -> np.ndarray:
     """The true class means on the unit sphere, as generate() draws them."""
-    _validate_spec(spec)
     return _draw_means(np.random.default_rng(spec.seed), spec.num_classes, spec.feature_dim)
 
 
@@ -95,7 +95,6 @@ def _draw_means(rng: np.random.Generator, c: int, dim: int) -> np.ndarray:
 
 def generate(spec: DatasetSpec) -> Dataset:
     """Draw the mixture: means first, then per-class sample blocks, then split."""
-    _validate_spec(spec)
     rng = np.random.default_rng(spec.seed)
     means = _draw_means(rng, spec.num_classes, spec.feature_dim)
     blocks = [

@@ -16,8 +16,8 @@ A node reads the row-softmax memo through ``gradcore._softmax_rows`` and is
 checked and linked by ``gradcore._result``; its value and gradient are
 bit-identical to the gradcore primitive chain log_softmax, exp, sub, mul,
 row_sum, mean and scale, which remains their reference. Bad arguments raise
-``ShapeError``, ``LabelError`` or ``ParameterError``; ``NumericError`` means
-the arithmetic overflowed.
+``ShapeError``, ``LabelError`` or ``ParameterError`` (a τ whose square
+overflows included); ``NumericError`` means the arithmetic overflowed.
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ KL_DIRECTIONS = ("as_paper", "conventional")
 
 @dataclass
 class UncertaintyStats:
-    """Per-sample predictive entropy (nats) and confidence weights, with means."""
+    """Per-sample predictive entropy (nats) and confidence weights."""
 
     entropy: np.ndarray
     weight: np.ndarray
-    mean_entropy: float
-    mean_weight: float
-    num_classes: int
 
 
 @dataclass
@@ -102,17 +99,10 @@ def confidence_weight(H, num_classes: int) -> np.ndarray:
 
 
 def uncertainty_stats(probs) -> UncertaintyStats:
-    """Entropy and confidence of each row of a probability matrix, plus means."""
+    """Entropy and confidence of each row of a probability matrix."""
     p = _as_probs(probs)
     h = _entropy(p)
-    w = confidence_weight(h, p.shape[1])
-    return UncertaintyStats(
-        entropy=h,
-        weight=w,
-        mean_entropy=float(np.add.reduce(h) / h.size),
-        mean_weight=float(np.add.reduce(w) / w.size),
-        num_classes=p.shape[1],
-    )
+    return UncertaintyStats(entropy=h, weight=confidence_weight(h, p.shape[1]))
 
 
 def _check_log_dist(ld: np.ndarray, name: str) -> None:
@@ -171,8 +161,8 @@ def _kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
     produced.
     """
     t = _check_logits(z, tau)
-    if t == math.inf:
-        raise ParameterError(f"tau must be finite, got {tau}")
+    if not math.isfinite(t * t):
+        raise ParameterError(f"tau^2 must be finite, got tau = {tau}")
     if direction not in KL_DIRECTIONS:
         raise ParameterError(f"direction {direction!r} not in {KL_DIRECTIONS}")
     batch = z.data.shape[0]

@@ -23,8 +23,10 @@ the loss nodes that ``distill`` builds itself through ``_softmax_rows`` and
 gradient, the numpy operations of the primitive chain it stands for in that
 chain's order, so its results are bit-identical to the chain's; it checks
 only its output (``dense``: its pre-activation, which relu would clip) and
-returns no gradient for a parent that takes none. The primitives here remain
-the reference chain those nodes are tested against.
+returns no gradient for a parent that takes none. Every op, fused or
+primitive, makes its output through ``_result``, the one place where data is
+checked finite and a node is linked. The primitives here remain the
+reference chain those nodes are tested against.
 
 These rules keep the hot paths short without changing a bit:
 
@@ -35,7 +37,8 @@ These rules keep the hot paths short without changing a bit:
 * An op's output computes its row (log-softmax, softmax) pair once per
   temperature and keeps it in ``rows``; ``log_softmax`` and the loss nodes
   all read that pair through ``_softmax_rows``. This rests on one
-  invariant: the data of an op's output is never written in place. Leaves
+  invariant: the data of an op's output is never written in place once the
+  op has returned it (``dense`` applies relu in place before it returns). Leaves
   keep no pair, because their data may be (parameters are updated,
   gradient checks perturb).
   ``row_softmax`` hands the softmax of that pair to code outside the graph.
@@ -122,17 +125,11 @@ class Tensor:
         return f"Tensor({tail})"
 
 
-def _finite_or_raise(arr: np.ndarray, op: str) -> None:
-    if not (math.isfinite(arr) if arr.ndim == 0
-            else np.logical_and.reduce(np.isfinite(arr), axis=None)):
+def _result(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
+    """The output of every op: data checked finite, linked when a parent takes a gradient."""
+    if not (math.isfinite(data) if data.ndim == 0
+            else np.logical_and.reduce(np.isfinite(data), axis=None)):
         raise NumericError(f"{op} produced non-finite values")
-
-
-def _takes_grad(t: Tensor) -> bool:
-    return t.node is not None or t.requires_grad
-
-
-def _linked(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
     out.rows = {}
     if _GRAD_ENABLED:
@@ -141,11 +138,6 @@ def _linked(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
                 out.node = Node(op, parents, grad_fn)
                 break
     return out
-
-
-def _result(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
-    _finite_or_raise(data, op)
-    return _linked(op, data, parents, grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -318,23 +310,26 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         raise ShapeError(f"dense needs [m,k]@[k,n], got {xd.shape} @ {wd.shape}")
     if bd.shape != (wd.shape[1],):
         raise ShapeError(f"dense needs a [{wd.shape[1]}] bias, got {bd.shape}")
-    pre = xd @ wd
-    pre += bd
-    # relu maps -inf and NaN to 0, so the pre-activation is what gets checked
-    _finite_or_raise(pre, "dense")
-    out = pre
-    if relu:  # where(pre > 0, pre, 0.0) bit for bit: + 0.0 turns -0.0 into +0.0
-        np.maximum(out, 0.0, out=out)
-        out += 0.0
+    x_grad = x.node is not None or x.requires_grad
+    w_grad = w.node is not None or w.requires_grad
+    b_grad = b.node is not None or b.requires_grad
+    out = xd @ wd
+    out += bd
 
     def grad_fn(g):
         if relu:
             g = g * (out > 0)
-        return (g @ wd.T if _takes_grad(x) else None,
-                xd.T @ g if _takes_grad(w) else None,
-                np.add.reduce(g, axis=0) if _takes_grad(b) else None)
+        return (g @ wd.T if x_grad else None,
+                xd.T @ g if w_grad else None,
+                np.add.reduce(g, axis=0) if b_grad else None)
 
-    return _linked("dense", out, (x, w, b), grad_fn)
+    # relu maps -inf and NaN to 0, so the pre-activation is what gets checked;
+    # relu then runs in place on the node's data, before anything reads it
+    result = _result("dense", out, (x, w, b), grad_fn)
+    if relu:  # where(pre > 0, pre, 0.0) bit for bit: + 0.0 turns -0.0 into +0.0
+        np.maximum(out, 0.0, out=out)
+        out += 0.0
+    return result
 
 
 def detach(x: Tensor) -> Tensor:

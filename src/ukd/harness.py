@@ -40,25 +40,28 @@ from .errors import DataError, FormatError, NumericError, SpecError
 from .gradcore import Tensor, backward, log_softmax, no_grad, row_softmax, zero_grad
 from .nets import (
     ACTIVATIONS,
+    DEFAULT_WIDTHS,
     LayerSpec,
     Network,
+    _validate_spec,
     build,
     compression_ratio,
-    default_student1_spec,
-    default_student2_spec,
-    default_teacher_spec,
     forward,
+    mlp_spec,
     param_count,
 )
-from .optim import CosineSchedule, SgdState, lr_at, sgd_step
+from .optim import SgdState, lr_at, sgd_step
 
-# Loss weights per mode: (alpha, beta, gamma).
+# Default loss weights per mode: (alpha, beta, gamma). A weight whose default
+# is 0 must stay 0: the mode has no such term.
 MODE_WEIGHTS = {
     "hard_only": (1.0, 0.0, 0.0),
     "baseline_kd": (0.3, 0.7, 0.0),
     "uncertainty_kd": (0.3, 0.7, 0.0),
     "dual": (0.4, 0.4, 0.2),
 }
+# The modes that weight each row of the teacher term by the teacher's confidence.
+CONFIDENCE_MODES = ("uncertainty_kd", "dual")
 MODES = tuple(MODE_WEIGHTS)
 # The ladder adds one loss component per row, in the order of MODES.
 ABLATION_ROWS = MODES
@@ -96,7 +99,12 @@ class Seeds:
 
 @dataclass
 class TrainConfig:
-    """Everything a run depends on; a run is a pure function of this object."""
+    """Everything a run depends on; a run is a pure function of this object.
+
+    Every field is checked when the config is built, and a None loss weight
+    or network spec is filled from MODE_WEIGHTS or DEFAULT_WIDTHS, so a
+    config that builds can run.
+    """
 
     mode: str
     alpha: float | None = None
@@ -120,13 +128,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise SpecError(f"mode {self.mode!r} not in {MODES}")
-        defaults = MODE_WEIGHTS[self.mode]
-        if self.alpha is None:
-            self.alpha = defaults[0]
-        if self.beta is None:
-            self.beta = defaults[1]
-        if self.gamma is None:
-            self.gamma = defaults[2]
+        for name, default in zip(("alpha", "beta", "gamma"), MODE_WEIGHTS[self.mode]):
+            if getattr(self, name) is None:
+                setattr(self, name, default)
+            elif default == 0.0 and getattr(self, name) != 0.0:
+                raise SpecError(f"{self.mode} requires {name} = 0 (the mode has no such term)")
         for name in ("alpha", "beta", "gamma", "tau", "eta0", "momentum",
                      "weight_decay", "augment_strength"):
             if not math.isfinite(getattr(self, name)):
@@ -134,12 +140,12 @@ class TrainConfig:
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
                 raise SpecError(f"{name} must be nonnegative")
-        if self.mode == "hard_only" and (self.beta != 0.0 or self.gamma != 0.0):
-            raise SpecError("hard_only requires beta = gamma = 0")
-        if self.mode in ("baseline_kd", "uncertainty_kd") and self.gamma != 0.0:
-            raise SpecError(f"{self.mode} requires gamma = 0 (peer term is dual-only)")
         if not self.tau > 0:
             raise SpecError(f"tau must be positive, got {self.tau}")
+        if not math.isfinite(self.tau * self.tau):
+            raise SpecError(f"tau^2 must be finite, got tau = {self.tau}")
+        if not self.eta0 > 0:
+            raise SpecError(f"eta0 must be positive, got {self.eta0}")
         for name in ("epochs", "batch_size", "teacher_epochs"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be >= 1")
@@ -153,14 +159,12 @@ class TrainConfig:
                 "the data stream has exactly one root"
             )
         dim, c = self.dataset.feature_dim, self.dataset.num_classes
-        if self.teacher_spec is None:
-            self.teacher_spec = default_teacher_spec(dim, c)
-        if self.student1_spec is None:
-            self.student1_spec = default_student1_spec(dim, c)
-        if self.student2_spec is None:
-            self.student2_spec = default_student2_spec(dim, c)
-        for name in ("teacher_spec", "student1_spec", "student2_spec"):
+        for net, widths in DEFAULT_WIDTHS.items():
+            name = f"{net}_spec"
+            if getattr(self, name) is None:
+                setattr(self, name, mlp_spec(dim, widths, c))
             spec = getattr(self, name)
+            _validate_spec(spec, name)
             if spec[0].in_dim != dim or spec[-1].out_dim != c:
                 raise SpecError(f"{name} must map feature_dim {dim} to num_classes {c}")
         if self.student1_spec == self.student2_spec:
@@ -205,8 +209,8 @@ class RunResult:
 
 
 def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
-    """Per-sample teacher weighting: all ones unless the mode is uncertainty-aware."""
-    if mode in ("uncertainty_kd", "dual"):
+    """Per-sample teacher weighting: all ones unless the mode is in CONFIDENCE_MODES."""
+    if mode in CONFIDENCE_MODES:
         return stats.weight
     return np.ones_like(stats.weight)
 
@@ -305,11 +309,10 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
     if ds is None:
         ds = generate(config.dataset)
     teacher = build(config.teacher_spec, config.seeds.teacher)
-    sched = CosineSchedule(config.eta0, config.teacher_epochs)
-    opt = SgdState(teacher.parameters, lr_at(sched, 0), config.momentum,
-                   config.weight_decay)
+    opt = SgdState(teacher.parameters, lr_at(config.eta0, config.teacher_epochs, 0),
+                   config.momentum, config.weight_decay)
     for epoch in range(config.teacher_epochs):
-        opt.lr = lr_at(sched, epoch)
+        opt.lr = lr_at(config.eta0, config.teacher_epochs, epoch)
         for batch, (x, y) in enumerate(
                 _augmented_batches(ds, config, config.seeds.teacher, epoch)):
             stage = "teacher forward"
@@ -400,9 +403,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
         "s1": build(config.student1_spec, config.seeds.student1),
         "s2": build(config.student2_spec, config.seeds.student2),
     }
-    sched = CosineSchedule(config.eta0, config.epochs)
     opts = {
-        name: SgdState(net.parameters, lr_at(sched, 0), config.momentum,
+        name: SgdState(net.parameters, lr_at(config.eta0, config.epochs, 0), config.momentum,
                        config.weight_decay)
         for name, net in students.items()
     }
@@ -419,7 +421,7 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     epoch = batch = None
     try:
         for epoch in range(config.epochs):
-            lr = lr_at(sched, epoch)
+            lr = lr_at(config.eta0, config.epochs, epoch)
             opts["s1"].lr = opts["s2"].lr = lr
             sums = {name: [0.0] * 4 for name in students}  # hard, teacher, peer, total
             entropy_sum = weight_sum = 0.0

@@ -2,10 +2,10 @@
 
 The teacher is the widest and deepest stack; the two students are smaller
 and deliberately different from each other in depth and width so that each
-can pick up complementary structure. A network is frozen exactly when none
-of its parameters requires a gradient. Freezing clears requires_grad, so a
-forward of plain input through it records no graph, and the harness never
-updates it.
+can pick up complementary structure. DEFAULT_WIDTHS holds the hidden widths
+of all three. A network is frozen exactly when none of its parameters
+requires a gradient. Freezing clears requires_grad, so a forward of plain
+input through it records no graph, and the harness never updates it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import ParameterError, ShapeError, SpecError
 from .gradcore import Tensor, dense
 
 ACTIVATIONS = ("none", "relu")
+# Hidden widths of the default networks, by name. The teacher is the widest
+# and deepest; the students differ from it and from each other.
+DEFAULT_WIDTHS = {"teacher": [128, 128, 128], "student1": [64, 64], "student2": [32]}
 
 
 @dataclass(frozen=True)
@@ -31,21 +34,19 @@ class LayerSpec:
     activation: str = "relu"
 
 
-def _validate_spec(spec: list[LayerSpec]) -> None:
+def _validate_spec(spec: list[LayerSpec], name: str = "network spec") -> None:
     if not spec:
-        raise SpecError("network spec needs at least one layer")
+        raise SpecError(f"{name} needs at least one layer")
     for i, layer in enumerate(spec):
         if layer.in_dim < 1 or layer.out_dim < 1:
-            raise SpecError(f"layer {i} dims must be >= 1, got {layer.in_dim}->{layer.out_dim}")
+            raise SpecError(f"{name} layer {i} dims must be >= 1, got {layer.in_dim}->{layer.out_dim}")
         if layer.activation not in ACTIVATIONS:
-            raise SpecError(f"layer {i} activation {layer.activation!r} not in {ACTIVATIONS}")
-    for i in range(len(spec) - 1):
-        if spec[i].out_dim != spec[i + 1].in_dim:
-            raise SpecError(
-                f"layer {i} out_dim {spec[i].out_dim} != layer {i + 1} in_dim {spec[i + 1].in_dim}"
-            )
+            raise SpecError(f"{name} layer {i} activation {layer.activation!r} not in {ACTIVATIONS}")
+        if i and spec[i - 1].out_dim != layer.in_dim:
+            raise SpecError(f"{name} layer {i - 1} out_dim {spec[i - 1].out_dim} "
+                            f"!= layer {i} in_dim {layer.in_dim}")
     if spec[-1].activation != "none":
-        raise SpecError("final layer must have activation 'none' (emits logits)")
+        raise SpecError(f"{name} final layer must have activation 'none' (emits logits)")
 
 
 class Network:
@@ -121,18 +122,3 @@ def mlp_spec(in_dim: int, widths: list[int], out_dim: int) -> list[LayerSpec]:
     dims = [in_dim, *widths]
     return ([LayerSpec(a, b) for a, b in zip(dims, dims[1:])]
             + [LayerSpec(dims[-1], out_dim, "none")])
-
-
-def default_teacher_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
-    """Widest stack: three hidden layers of 128."""
-    return mlp_spec(in_dim, [128, 128, 128], num_classes)
-
-
-def default_student1_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
-    """Mid-sized student: two hidden layers of 64."""
-    return mlp_spec(in_dim, [64, 64], num_classes)
-
-
-def default_student2_spec(in_dim: int = 16, num_classes: int = 10) -> list[LayerSpec]:
-    """Narrow student: one hidden layer of 32."""
-    return mlp_spec(in_dim, [32], num_classes)

@@ -3,9 +3,10 @@
 Per element: g <- grad + lambda*theta, v <- mu*v + g, theta <- theta - eta*v.
 The decay term joins the gradient before momentum (the classical coupling).
 An SgdState owns the parameter list it updates and one velocity per
-parameter, paired once at construction. The schedule is stepped once per
-epoch: eta0 * (1 + cos(pi*epoch/total)) / 2, reaching exactly zero at the
-final epoch boundary.
+parameter, paired once at construction. The schedule is one function of
+(eta0, total_epochs, epoch), stepped once per epoch:
+eta0 * (1 + cos(pi*epoch/total)) / 2, reaching exactly zero at the final
+epoch boundary.
 """
 
 from __future__ import annotations
@@ -46,22 +47,12 @@ def sgd_step(state: SgdState) -> None:
         p.data -= state.lr * v
 
 
-@dataclass(frozen=True)
-class CosineSchedule:
-    eta0: float
-    total_epochs: int
-
-    def __post_init__(self):
-        if not self.eta0 > 0:
-            raise ParameterError(f"eta0 must be positive, got {self.eta0}")
-        if self.total_epochs < 1:
-            raise ParameterError(f"total_epochs must be >= 1, got {self.total_epochs}")
-
-
-def lr_at(schedule: CosineSchedule, epoch: int) -> float:
-    """Learning rate at an epoch boundary; epoch counts from 0 to total_epochs."""
-    if not 0 <= epoch <= schedule.total_epochs:
-        raise ParameterError(
-            f"epoch {epoch} outside [0, {schedule.total_epochs}]"
-        )
-    return schedule.eta0 * 0.5 * (1.0 + math.cos(math.pi * epoch / schedule.total_epochs))
+def lr_at(eta0: float, total_epochs: int, epoch: int) -> float:
+    """Cosine learning rate at an epoch boundary; epoch counts from 0 to total_epochs."""
+    if not eta0 > 0:
+        raise ParameterError(f"eta0 must be positive, got {eta0}")
+    if total_epochs < 1:
+        raise ParameterError(f"total_epochs must be >= 1, got {total_epochs}")
+    if not 0 <= epoch <= total_epochs:
+        raise ParameterError(f"epoch {epoch} outside [0, {total_epochs}]")
+    return eta0 * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))

