@@ -10,7 +10,9 @@ with the flags given merged over them; each command takes only the flags it read
 The default output root is ./runs, overridable with UKD_RUN_ROOT.
 No command writes into a non-empty directory it did not just create,
 except explicit -o targets. A config that cannot run is refused when it is
-built (exit 2), before any directory is claimed or any work starts.
+built (exit 2), and a flag value that cannot be used (--seeds 0, a bad
+--compression pair) when it is parsed, before any directory is claimed or
+any work starts.
 """
 
 from __future__ import annotations
@@ -315,15 +317,8 @@ def cmd_report(args) -> int:
             _write_atomic(out / f"series_{label}_{student}.csv",
                           ("\n".join(lines) + "\n").encode("ascii"))
 
-    for spec in args.compression or []:
-        parts = spec.split("/")
-        if len(parts) != 2:
-            raise SpecError(f"compression spec must be TEACHER/STUDENT, got {spec!r}")
-        try:
-            teacher_n, student_n = (float(p) for p in parts)
-        except ValueError:
-            raise SpecError(f"compression spec must be numeric, got {spec!r}") from None
-        print(f"compression {spec} = {compression_ratio(teacher_n, student_n):.2f}x")
+    for spec, ratio in args.compression or []:
+        print(f"compression {spec} = {ratio:.2f}x")
     return 0
 
 
@@ -362,6 +357,23 @@ _FLAGS = {
     "seed": ("--seed", "dataset seed", {}),
     "val_fraction": ("--val-fraction", "held-out fraction per class", {}),
 }
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of a count flag: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _compression_pair(text: str) -> tuple[str, float]:
+    """argparse type of --compression: a TEACHER/STUDENT count pair, with its ratio."""
+    try:
+        teacher_n, student_n = (float(part) for part in text.split("/"))
+        return text, compression_ratio(teacher_n, student_n)
+    except ValueError as err:  # a ParameterError is a ValueError too
+        raise argparse.ArgumentTypeError(
+            f"must be TEACHER/STUDENT parameter counts, got {text!r}: {err}") from None
 
 
 def _add_flags(p: argparse.ArgumentParser, dests) -> None:
@@ -404,9 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="the 4-row loss-component ladder")
     _add_flags(p, [key for key in run_flags  # each row sets these itself
                    if ("run", key) not in _ROW_KEYS and key != "seed_block"])
-    p.add_argument("--seeds", type=int, default=5,
+    p.add_argument("--seeds", type=_at_least_one, default=5,
                    help="number of seed blocks, 0..k-1 (default: %(default)s)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="parallel runs across seed blocks, each worker on one BLAS "
                         "thread (default: %(default)s)")
     p.set_defaults(func=cmd_ablate)
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ours", required=True, metavar="DIR", help="comparison run dir")
     p.add_argument("--out", metavar="DIR", help="report output dir "
                    "(default: $UKD_RUN_ROOT/report)")
-    p.add_argument("--compression", action="append", metavar="T/S",
+    p.add_argument("--compression", action="append", type=_compression_pair, metavar="T/S",
                    help="print the ratio for a TEACHER/STUDENT parameter-count "
                         "pair; repeatable")
     p.set_defaults(func=cmd_report)

@@ -4,7 +4,8 @@ Class means sit on the unit sphere; samples spread around them with an
 isotropic overlap_sigma. The overlap is the point: it makes some regions
 genuinely ambiguous, so a trained classifier's confidence varies from sample
 to sample instead of saturating at 1. A DatasetSpec checks its fields when
-it is built, so generate takes any spec that exists.
+it is built, down to both splits holding rows, so generate takes any spec
+that exists.
 
 Features are stored raw. Normalization statistics come from the training
 split only; both splits are normalized with them at batch time. The split
@@ -52,6 +53,10 @@ class DatasetSpec:
             raise SpecError(f"overlap_sigma must be positive and finite, got {self.overlap_sigma}")
         if not 0.0 < self.val_fraction < 1.0:
             raise SpecError(f"val_fraction must lie in (0,1), got {self.val_fraction}")
+        held_out = _val_count(self.val_fraction, self.samples_per_class)
+        if not 1 <= held_out < self.samples_per_class:
+            raise SpecError(f"val_fraction {self.val_fraction} holds out {held_out} of "
+                            f"{self.samples_per_class} rows per class; each split needs one")
         if self.seed < 0:
             raise SpecError(f"seed must be nonnegative, got {self.seed}")
 
@@ -106,6 +111,11 @@ def generate(spec: DatasetSpec) -> Dataset:
     return _assemble(features, labels, spec.num_classes, spec.val_fraction)
 
 
+def _val_count(val_fraction: float, rows: int) -> int:
+    """How many of a class's rows the split holds out for val."""
+    return int(round(val_fraction * rows))
+
+
 def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
               val_fraction: float) -> Dataset:
     """Stratified split (last val-fraction rows of each class) plus train-only stats."""
@@ -114,7 +124,7 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
     train_parts, val_parts = [], []
     for c in range(num_classes):
         idx = np.flatnonzero(labels == c)
-        val_count = int(round(val_fraction * idx.size))
+        val_count = _val_count(val_fraction, idx.size)
         train_parts.append(idx[: idx.size - val_count])
         val_parts.append(idx[idx.size - val_count:])
     train_idx = np.concatenate(train_parts)

@@ -379,26 +379,23 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     which holds whenever data and teacher seeds (and teacher hypers) match.
     Its frozen state and its layers are checked before anything is written.
 
-    A NumericError in teacher pretraining or in the student phase leaves, in
-    out_dir, a summary.json with status "diverged", the phase, the epoch and
-    batch it stopped at (null where it stopped in an evaluation) and the
+    The run lives in memory, and each file in out_dir is written whole from
+    it by _write_atomic: metrics.csv after every student epoch, so a killed
+    run keeps exactly its finished epochs. A NumericError in the teacher
+    phase (pretraining, or an injected teacher's evaluation) or the student
+    phase leaves a summary.json with status "diverged", the phase, the epoch
+    and batch it stopped at (null where it stopped in an evaluation) and the
     error; then it propagates.
     """
     started = time.perf_counter()
     run_dir = Path(out_dir) if out_dir is not None else None
     ds = generate(config.dataset)
-    if teacher is None:
-        try:
-            teacher, teacher_val = pretrain_teacher(config, ds)
-        except NumericError as err:
-            _record_divergence(run_dir, config, "teacher", *getattr(err, "at", (None, None)), err)
-            raise
-    else:
-        if not teacher.frozen:
-            raise SpecError("injected teacher must be frozen")
-        if teacher.layers != config.teacher_spec:
-            raise SpecError("injected teacher's layers differ from config.teacher_spec")
-        teacher_val = evaluate(teacher, ds, "val")["top1"]
+    if teacher is not None and not teacher.frozen:
+        raise SpecError("injected teacher must be frozen")
+    if teacher is not None and teacher.layers != config.teacher_spec:
+        raise SpecError("injected teacher's layers differ from config.teacher_spec")
+    if run_dir is not None:
+        run_dir.mkdir(parents=True, exist_ok=True)
     students = {
         "s1": build(config.student1_spec, config.seeds.student1),
         "s2": build(config.student2_spec, config.seeds.student2),
@@ -411,15 +408,14 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     records: list[MetricsRecord] = []
     breakdowns: dict[str, list[LossBreakdown]] = {"s1": [], "s2": []}
     best: dict[str, tuple[float, list[np.ndarray]]] = {"s1": (-1.0, []), "s2": (-1.0, [])}
-
-    metrics_fh = None
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        metrics_fh = open(run_dir / "metrics.csv", "w", encoding="ascii", newline="\n")
-        metrics_fh.write(METRICS_HEADER + "\n")
-
-    epoch = batch = None
+    phase, epoch, batch = "teacher", None, None
     try:
+        if teacher is None:
+            teacher, teacher_val = pretrain_teacher(config, ds)
+        else:
+            teacher_val = evaluate(teacher, ds, "val")["top1"]
+        phase = "students"
+        _write_metrics(run_dir, records)
         for epoch in range(config.epochs):
             lr = lr_at(config.eta0, config.epochs, epoch)
             opts["s1"].lr = opts["s2"].lr = lr
@@ -444,7 +440,7 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
                 train_eval = evaluate(net, ds, "train")
                 val_eval = evaluate(net, ds, "val")
                 means = [s / seen for s in sums[name]]
-                record = MetricsRecord(
+                records.append(MetricsRecord(
                     epoch=epoch, student=name, hard=means[0],
                     teacher=means[1], peer=means[2], total=means[3],
                     train_top1=train_eval["top1"],
@@ -452,18 +448,19 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
                     mean_entropy=float(entropy_sum / seen),
                     mean_weight=float(weight_sum / seen),
                     lr=lr,
-                )
-                records.append(record)
-                if metrics_fh is not None:
-                    metrics_fh.write(record.csv_row() + "\n")
+                ))
                 if val_eval["top1"] > best[name][0]:
                     best[name] = (val_eval["top1"], [p.data.copy() for p in net.parameters])
+            _write_metrics(run_dir, records)
     except NumericError as err:
-        _record_divergence(run_dir, config, "students", epoch, batch, err)
+        if phase == "teacher":  # pretraining says where it stopped; an evaluation does not
+            epoch, batch = getattr(err, "at", (None, None))
+        if run_dir is not None:
+            _write_summary(run_dir, {
+                "status": "diverged", "phase": phase, "epoch": epoch, "batch": batch,
+                "error": str(err), "mode": config.mode, "config": _config_echo(config),
+            })
         raise
-    finally:
-        if metrics_fh is not None:
-            metrics_fh.close()
 
     summary = _summarize(config, teacher, teacher_val, students, records, best,
                          time.perf_counter() - started)
@@ -477,21 +474,15 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
     return RunResult(run_dir, records, breakdowns, summary, teacher, students)
 
 
+def _write_metrics(run_dir: Path | None, records: list[MetricsRecord]) -> None:
+    if run_dir is not None:
+        text = "".join(f"{line}\n" for line in [METRICS_HEADER, *(r.csv_row() for r in records)])
+        _write_atomic(run_dir / "metrics.csv", text.encode("ascii"))
+
+
 def _write_summary(run_dir: Path, summary: dict) -> None:
     _write_atomic(run_dir / "summary.json",
                   (json.dumps(summary, indent=2) + "\n").encode("ascii"))
-
-
-def _record_divergence(run_dir: Path | None, config: TrainConfig, phase: str,
-                       epoch: int | None, batch: int | None, err: NumericError) -> None:
-    """The summary.json of a run a NumericError stopped: where it stopped and why."""
-    if run_dir is None:
-        return
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_summary(run_dir, {
-        "status": "diverged", "phase": phase, "epoch": epoch, "batch": batch,
-        "error": str(err), "mode": config.mode, "config": _config_echo(config),
-    })
 
 
 def _summarize(config, teacher, teacher_val, students, records, best, wall_total):

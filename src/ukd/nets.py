@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
 
@@ -109,12 +109,14 @@ def param_count(net: Network) -> int:
 
 def compression_ratio(teacher_params, student_params) -> float:
     """teacher/student parameter ratio, rounded half-up to 2 decimals."""
-    if not teacher_params > 0 or not student_params > 0:
-        raise ParameterError(
-            f"parameter counts must be positive, got {teacher_params} and {student_params}"
-        )
+    if not 0 < teacher_params < math.inf or not 0 < student_params < math.inf:
+        raise ParameterError(f"parameter counts must be positive and finite, "
+                             f"got {teacher_params} and {student_params}")
     ratio = Decimal(str(teacher_params)) / Decimal(str(student_params))
-    return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    try:
+        return float(ratio.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    except InvalidOperation:  # rounded to cents, the ratio needs more digits than Decimal keeps
+        raise ParameterError(f"ratio {teacher_params}/{student_params} is too large") from None
 
 
 def mlp_spec(in_dim: int, widths: list[int], out_dim: int) -> list[LayerSpec]:

@@ -261,8 +261,16 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     (["train", "--mode", "dual", "--tau", "1e200"], "tau"),
     (["train", "--mode", "dual", "--config", "zero-width.ini"], "student1_spec"),
     (["ablate", "--seeds", "1", "--eta0", "0"], "eta0"),
+    (["ablate", "--seeds", "0"], "--seeds"),
+    (["ablate", "--seeds", "-2"], "--seeds"),
+    (["ablate", "--jobs", "0"], "--jobs"),
+    (["train", "--mode", "dual", "--classes", "3", "--dim", "4", "--per-class", "4"],
+     "val_fraction"),
+    (["train", "--mode", "dual", "--per-class", "1", "--val-fraction", "0.9"], "val_fraction"),
 ], ids=["eta0-zero", "eta0-negative", "one-class", "zero-sigma", "val-fraction",
-        "tau-square-overflows", "zero-width-student", "ablate-eta0-zero"])
+        "tau-square-overflows", "zero-width-student", "ablate-eta0-zero", "ablate-no-seeds",
+        "ablate-negative-seeds", "ablate-no-jobs", "val-split-rounds-empty",
+        "train-split-rounds-empty"])
 def test_a_config_that_cannot_run_claims_no_directory(monkeypatch, capsys, argv, named):
     def no_work(*args, **kwargs):
         raise AssertionError("a config that cannot run was accepted")
@@ -545,6 +553,25 @@ def test_ablate_csv_stable_across_runs(tmp_path):
     assert main(flags + ["--out", str(a)]) == 0
     assert main(flags + ["--out", str(b)]) == 0
     assert sha(a / "ablation.csv") == sha(b / "ablation.csv")
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    run = tmp_path_factory.mktemp("tiny") / "run"
+    assert main(["train", "--mode", "dual", "--out", str(run)] + TINY) == 0
+    return run
+
+
+@pytest.mark.parametrize("pair", ["1/x", "1/2/3", "7", "0/5", "inf/1", "1e30/1"])
+def test_report_bad_compression_pair_is_a_usage_error_before_any_write(tiny_run, capsys,
+                                                                       pair):
+    capsys.readouterr()
+    rc = main(["report", "--baseline", str(tiny_run), "--ours", str(tiny_run),
+               "--out", "rep", "--compression", "2/1", "--compression", pair])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--compression" in err
+    assert not Path("rep").exists()
 
 
 def test_report_command(tmp_path, capsys):

@@ -42,6 +42,22 @@ def test_spec_validation_rejects_each_bad_field():
             DatasetSpec(**{**good, **bad})
 
 
+# round() halves to even: 5 rows at 0.1 hold out none, 15 rows hold out 2
+@pytest.mark.parametrize("per_class,fraction,val_rows", [
+    (4, 0.1, 0), (5, 0.1, 0), (10, 0.04, 0), (10, 0.1, 1), (15, 0.1, 2), (2, 0.5, 1),
+    (1, 0.9, 1), (2, 0.75, 2),
+])
+def test_a_spec_builds_exactly_when_both_splits_hold_rows(per_class, fraction, val_rows):
+    kw = dict(num_classes=3, samples_per_class=per_class, feature_dim=4, val_fraction=fraction)
+    if not 1 <= val_rows < per_class:
+        with pytest.raises(SpecError, match="val_fraction"):
+            DatasetSpec(**kw)
+        return
+    ds = generate(DatasetSpec(**kw))
+    assert (ds.val_indices.size, ds.train_indices.size) == (3 * val_rows,
+                                                             3 * (per_class - val_rows))
+
+
 def test_generate_is_bit_reproducible():
     assert _dataset_bytes(generate(SMALL)) == _dataset_bytes(generate(SMALL))
     other = DatasetSpec(**{**SMALL.__dict__, "seed": 12})
@@ -153,7 +169,7 @@ def test_val_batches_keep_fixed_order_across_epochs():
     np.testing.assert_array_equal(np.concatenate([x[1] for x in a]), labels)
 
 
-def test_batches_reject_bad_arguments_and_empty_split():
+def test_batches_reject_bad_arguments_and_empty_split(tmp_path):
     ds = generate(SMALL)
     with pytest.raises(ParameterError):
         batches(ds, "train", 0, 1, 0)
@@ -161,8 +177,10 @@ def test_batches_reject_bad_arguments_and_empty_split():
         batches(ds, "train", 8, 1, -1)
     with pytest.raises(ParameterError):
         batches(ds, "test", 8, 1, 0)
-    starved = generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
-                                   overlap_sigma=0.5, seed=1, val_fraction=0.04))
+    # a spec refuses a split that rounds to empty, so only a file can give one
+    save_dataset(generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
+                                      overlap_sigma=0.5, seed=1)), tmp_path / "ds.ukdd")
+    starved = load_dataset(tmp_path / "ds.ukdd", val_fraction=0.04)
     with pytest.raises(DataError):
         batches(starved, "val", 8, 1, 0)
 

@@ -414,6 +414,46 @@ def test_diverged_student_phase_leaves_a_summary(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_injected_teacher_that_overflows_in_evaluation_leaves_a_summary(tmp_path):
+    cfg = small_config("dual")
+    teacher = build(cfg.teacher_spec, 0)
+    for p in teacher.parameters[::2]:
+        p.data *= 1e200
+    with pytest.raises(NumericError, match="dense produced non-finite values") as info:
+        train(cfg, tmp_path / "run", teacher=teacher.freeze())
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert (summary["status"], summary["phase"], summary["epoch"], summary["batch"]) == \
+        ("diverged", "teacher", None, None)
+    assert summary["error"] == str(info.value)
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["summary.json"]
+
+
+@pytest.mark.parametrize("epoch", [0, 2])
+def test_interrupted_student_phase_keeps_exactly_its_finished_epochs(tmp_path, monkeypatch,
+                                                                     epoch):
+    cfg = small_config("dual")
+    teacher, _ = pretrain_teacher(cfg)
+    whole = train(cfg, None, teacher=teacher)
+    real_evaluate, calls = harness.evaluate, []
+
+    def interrupting(net, ds, split):
+        calls.append(split)
+        # the teacher's val evaluation, 4 per finished epoch, then s2's train evaluation
+        if len(calls) == 1 + 4 * epoch + 3:
+            raise KeyboardInterrupt
+        return real_evaluate(net, ds, split)
+
+    monkeypatch.setattr(harness, "evaluate", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, tmp_path / "run", teacher=teacher)
+    finished = [r.csv_row() for r in whole.records if r.epoch < epoch]
+    assert len(finished) == 2 * epoch
+    assert (tmp_path / "run" / "metrics.csv").read_text().splitlines() == \
+        [METRICS_HEADER] + finished
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["metrics.csv"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverged_teacher_phase_leaves_a_summary(tmp_path):
     cfg = small_config("dual", eta0=1e30, epochs=2)
     with pytest.raises(NumericError, match="^teacher forward diverged: dense produced") as info:
@@ -737,7 +777,7 @@ class _HalfWriter:
 
 @pytest.mark.parametrize("save,make", [
     (save_checkpoint, lambda seed: build([LayerSpec(4, 3, "relu"), LayerSpec(3, 2, "none")], seed)),
-    (save_dataset, lambda seed: generate(DatasetSpec(num_classes=2, samples_per_class=4,
+    (save_dataset, lambda seed: generate(DatasetSpec(num_classes=2, samples_per_class=10,
                                                      feature_dim=2, seed=seed))),
 ], ids=["checkpoint", "dataset"])
 def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch, save, make):

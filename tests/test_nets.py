@@ -193,3 +193,7 @@ def test_compression_ratio_rejects_non_positive():
         compression_ratio(100, 0)
     with pytest.raises(ParameterError):
         compression_ratio(0, 100)
+    # nor a count or a ratio that Decimal cannot round to cents
+    for teacher, student in ((float("inf"), 1), (1, float("inf")), (float("nan"), 1), (1e30, 1)):
+        with pytest.raises(ParameterError):
+            compression_ratio(teacher, student)
