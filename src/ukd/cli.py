@@ -40,6 +40,7 @@ from .errors import DataError, NumericError, SpecError, UkdError
 from .harness import (
     Seeds,
     TrainConfig,
+    _write_diverged,
     ablate,
     evaluate,
     load_checkpoint,
@@ -231,7 +232,11 @@ def cmd_pretrain_teacher(args) -> int:
     config, out = _assemble_config(args, default_mode="hard_only")
     run_dir = _claim_dir(out if out is not None
                          else _run_root() / f"teacher-seed{config.seeds.teacher}")
-    teacher, val_top1 = pretrain_teacher(config)
+    try:
+        teacher, val_top1 = pretrain_teacher(config)
+    except NumericError as err:
+        _write_diverged(run_dir, config, "teacher", err)
+        raise
     save_checkpoint(teacher, run_dir / "teacher.ukdc")
     print(f"wrote {run_dir / 'teacher.ukdc'}")
     print(f"teacher params: {param_count(teacher)}")
@@ -272,21 +277,45 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# The metrics.csv columns of report's series files; report also reads student.
+_SERIES_COLUMNS = ("epoch", "val_top1", "val_top5", "mean_entropy", "mean_weight")
+
+
 def _read_run(run_dir) -> tuple[dict, list[dict]]:
+    """A finished run's summary and metrics rows, holding everything report reads.
+
+    Anything less, or a diverged run, is a DataError naming the directory.
+    """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     metrics_path = run_dir / "metrics.csv"
     if not summary_path.exists() or not metrics_path.exists():
         raise DataError(f"{run_dir} is not a run directory "
                         "(missing summary.json or metrics.csv)")
-    with open(summary_path, encoding="ascii") as fh:
-        summary = json.load(fh)
+    try:
+        summary = json.loads(summary_path.read_text(encoding="ascii"))
+        with open(metrics_path, encoding="ascii", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (ValueError, csv.Error) as err:  # bad JSON and non-ASCII bytes are ValueErrors
+        raise DataError(f"{run_dir} holds an unreadable run file: {err}") from None
+    if not isinstance(summary, dict):
+        raise DataError(f"{summary_path} is not a JSON object")
     if summary.get("status") == "diverged":
-        raise DataError(f"{run_dir} is a diverged run (phase {summary['phase']}, "
-                        f"epoch {summary['epoch']}, batch {summary['batch']}): "
-                        f"{summary['error']}")
-    with open(metrics_path, encoding="ascii", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        raise DataError(f"{run_dir} is a diverged run (phase {summary.get('phase')}, "
+                        f"epoch {summary.get('epoch')}, batch {summary.get('batch')}): "
+                        f"{summary.get('error')}")
+    students = summary.get("students")
+    if "epochs" not in summary or not isinstance(students, dict) or not all(
+            isinstance(block, dict) and isinstance(block.get("final_val_top1"), (int, float))
+            for block in students.values()):
+        raise DataError(f"{summary_path} lacks epochs or a numeric final_val_top1 per student")
+    missing = [column for column in ("student", *_SERIES_COLUMNS)
+               if column not in (reader.fieldnames or ())]
+    if missing:
+        raise DataError(f"{metrics_path} lacks the column(s) {', '.join(missing)}")
+    if any(None in row.values() for row in rows):
+        raise DataError(f"{metrics_path} has a row with too few fields")
     return summary, rows
 
 
@@ -309,11 +338,11 @@ def cmd_report(args) -> int:
     print(text, end="")
     _write_atomic(out / "report.txt", text.encode("ascii"))
 
-    columns = ("epoch", "val_top1", "val_top5", "mean_entropy", "mean_weight")
     for label, rows in (("baseline", base_rows), ("ours", ours_rows)):
         for student in sorted(base_summary["students"]):
-            lines = [",".join(columns)] + [",".join(row[k] for k in columns)
-                                           for row in rows if row["student"] == student]
+            lines = [",".join(_SERIES_COLUMNS)] + [
+                ",".join(row[k] for k in _SERIES_COLUMNS)
+                for row in rows if row["student"] == student]
             _write_atomic(out / f"series_{label}_{student}.csv",
                           ("\n".join(lines) + "\n").encode("ascii"))
 

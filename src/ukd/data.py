@@ -118,16 +118,23 @@ def _val_count(val_fraction: float, rows: int) -> int:
 
 def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
               val_fraction: float) -> Dataset:
-    """Stratified split (last val-fraction rows of each class) plus train-only stats."""
+    """Stratified split (last val-fraction rows of each class) plus train-only stats.
+
+    Only the classes present are visited, so the time taken follows the rows,
+    not num_classes; a class with no rows adds nothing to either split.
+    """
     if not 0.0 < val_fraction < 1.0:
         raise SpecError(f"val_fraction must lie in (0,1), got {val_fraction}")
     train_parts, val_parts = [], []
-    for c in range(num_classes):
-        idx = np.flatnonzero(labels == c)
-        val_count = _val_count(val_fraction, idx.size)
-        train_parts.append(idx[: idx.size - val_count])
-        val_parts.append(idx[idx.size - val_count:])
-    train_idx = np.concatenate(train_parts)
+    order = np.argsort(labels, kind="stable")  # each class's rows, in row order
+    present, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    for c, start, count in zip(present, starts, counts):
+        if 0 <= c < num_classes:
+            idx = order[start: start + count]
+            val_count = _val_count(val_fraction, idx.size)
+            train_parts.append(idx[: idx.size - val_count])
+            val_parts.append(idx[idx.size - val_count:])
+    train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
     val_idx = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.int64)
     if train_idx.size == 0:
         raise DataError("training split is empty")

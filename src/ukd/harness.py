@@ -215,35 +215,13 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _student_loss(name: str, student_logits: Tensor, teacher_logits: Tensor, labels, w,
-                  config: TrainConfig, peer_logits: Tensor):
-    """Student ``name``'s combined loss; zero-weighted terms go unbuilt, a diverged one is named."""
-    hard = teach = peer = None
-    term = "hard loss term"
-    try:
-        if config.alpha != 0.0:
-            hard = hard_loss(student_logits, labels)
-        term = "teacher loss term"
-        if config.beta != 0.0:
-            teach = teacher_loss(student_logits, teacher_logits, w, config.tau,
-                                 config.kl_direction)
-        term = "peer loss term"
-        if config.gamma != 0.0:
-            peer = peer_loss(student_logits, peer_logits, config.tau, config.kl_direction)
-        term = "loss sum"
-        return total_loss(hard, teach, peer, config.alpha, config.beta, config.gamma,
-                          tau=config.tau)
-    except NumericError as err:
-        raise NumericError(f"{name} {term} diverged: {err}") from err
-
-
-def _teacher_stats(teacher: Network, x: np.ndarray):
-    """Frozen-teacher logits plus uncertainty statistics of its raw softmax.
+def _teacher_stats(teacher: Network, x: Tensor):
+    """Frozen-teacher logits for the batch x, plus uncertainty statistics of its raw softmax.
 
     log_softmax checks the teacher's log-probabilities are finite and keeps
     the row pair on t_logits, so row_softmax takes no second exp.
     """
-    t_logits = forward(teacher, Tensor(x))
+    t_logits = forward(teacher, x)
     log_softmax(t_logits, 1.0)
     return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
 
@@ -270,29 +248,45 @@ def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int
 def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
                     config: TrainConfig, opt1: SgdState, opt2: SgdState,
                     ) -> tuple[LossBreakdown, LossBreakdown, UncertaintyStats]:
-    """Synchronized forwards, then independent backwards and updates.
+    """The dual step: both students see one batch, build their losses, then update.
 
-    Both students see the same inputs and the same teacher distribution; each
-    treats the other's prediction as a fixed target (gradient-stopped), so
-    neither update can leak into the other network.
+    Teacher statistics, then s1's and s2's forwards; each student's terms of
+    nonzero weight and their sum, s1 first; then s1 updates, then s2. Each
+    treats the other's logits as a fixed (gradient-stopped) target, so neither
+    update leaks into the other. A NumericError names its stage: "s2 peer loss term".
     """
     x, y = batch
     if x.shape[0] == 0:
         raise DataError("empty batch")
     if not teacher.frozen:
         raise SpecError("teacher must be frozen before student training")
-    stage = "teacher"
+    x = Tensor(x)  # one leaf for the three forwards; none writes into it
+    stage = "teacher forward"
     try:
         t_logits, stats = _teacher_stats(teacher, x)
-        stage = "s1"
-        z1 = forward(s1, Tensor(x))
-        stage = "s2"
-        z2 = forward(s2, Tensor(x))
+        stage = "s1 forward"
+        z1 = forward(s1, x)
+        stage = "s2 forward"
+        z2 = forward(s2, x)
+        w = confidence_for_mode(config.mode, stats)
+        losses = []
+        for name, z, other in (("s1", z1, z2), ("s2", z2, z1)):
+            hard = teach = peer = None
+            stage = f"{name} hard loss term"
+            if config.alpha != 0.0:
+                hard = hard_loss(z, y)
+            stage = f"{name} teacher loss term"
+            if config.beta != 0.0:
+                teach = teacher_loss(z, t_logits, w, config.tau, config.kl_direction)
+            stage = f"{name} peer loss term"
+            if config.gamma != 0.0:
+                peer = peer_loss(z, other, config.tau, config.kl_direction)
+            stage = f"{name} loss sum"
+            losses.append(total_loss(hard, teach, peer, config.alpha, config.beta,
+                                     config.gamma, tau=config.tau))
     except NumericError as err:
-        raise NumericError(f"{stage} forward diverged: {err}") from err
-    w = confidence_for_mode(config.mode, stats)
-    loss1, bd1 = _student_loss("s1", z1, t_logits, y, w, config, z2)
-    loss2, bd2 = _student_loss("s2", z2, t_logits, y, w, config, z1)
+        raise NumericError(f"{stage} diverged: {err}") from err
+    (loss1, bd1), (loss2, bd2) = losses
     _update(loss1, opt1)
     _update(loss2, opt2)
     return bd1, bd2, stats
@@ -453,13 +447,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
                     best[name] = (val_eval["top1"], [p.data.copy() for p in net.parameters])
             _write_metrics(run_dir, records)
     except NumericError as err:
-        if phase == "teacher":  # pretraining says where it stopped; an evaluation does not
-            epoch, batch = getattr(err, "at", (None, None))
         if run_dir is not None:
-            _write_summary(run_dir, {
-                "status": "diverged", "phase": phase, "epoch": epoch, "batch": batch,
-                "error": str(err), "mode": config.mode, "config": _config_echo(config),
-            })
+            _write_diverged(run_dir, config, phase, err, epoch, batch)
         raise
 
     summary = _summarize(config, teacher, teacher_val, students, records, best,
@@ -483,6 +472,17 @@ def _write_metrics(run_dir: Path | None, records: list[MetricsRecord]) -> None:
 def _write_summary(run_dir: Path, summary: dict) -> None:
     _write_atomic(run_dir / "summary.json",
                   (json.dumps(summary, indent=2) + "\n").encode("ascii"))
+
+
+def _write_diverged(run_dir: Path, config: TrainConfig, phase: str, err: NumericError,
+                    epoch: int | None = None, batch: int | None = None) -> None:
+    """The summary.json of a run that err stopped in phase, at (epoch, batch)."""
+    if phase == "teacher":  # pretraining says where it stopped; an evaluation does not
+        epoch, batch = getattr(err, "at", (None, None))
+    _write_summary(run_dir, {
+        "status": "diverged", "phase": phase, "epoch": epoch, "batch": batch,
+        "error": str(err), "mode": config.mode, "config": _config_echo(config),
+    })
 
 
 def _summarize(config, teacher, teacher_val, students, records, best, wall_total):
@@ -691,7 +691,7 @@ def load_checkpoint(path) -> Network:
     for i, layer in enumerate(layers):
         for name, shape in ((f"weight_{i}", (layer.in_dim, layer.out_dim)),
                             (f"bias_{i}", (layer.out_dim,))):
-            size = 8 * int(np.prod(shape))
+            size = 8 * math.prod(shape)  # Python ints: a huge layer cannot wrap
             if offset + size > len(blob):
                 raise FormatError(f"file truncated at offset {offset} reading {name}")
             arr = np.frombuffer(blob[offset: offset + size], dtype="<f8").reshape(shape)

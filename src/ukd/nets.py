@@ -59,7 +59,8 @@ class Network:
     @property
     def frozen(self) -> bool:
         """True when no parameter requires a gradient."""
-        return not any(p.requires_grad for p in self.parameters)
+        # a list comprehension is one Python call; a generator is one per parameter
+        return not any([p.requires_grad for p in self.parameters])
 
     def freeze(self) -> "Network":
         """Stop gradient tracking: clear every parameter's requires_grad and grad."""
@@ -92,9 +93,9 @@ def forward(net: Network, x: Tensor) -> Tensor:
     """Logits for a [batch, in_dim] input; a frozen net's parameters take no gradient."""
     if not isinstance(x, Tensor):
         x = Tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != net.layers[0].in_dim:
+    if x.data.ndim != 2 or x.data.shape[1] != net.layers[0].in_dim:
         raise ShapeError(
-            f"input shape {x.shape} does not match first layer in_dim {net.layers[0].in_dim}"
+            f"input shape {x.data.shape} does not match first layer in_dim {net.layers[0].in_dim}"
         )
     h = x
     for layer, w, b in zip(net.layers, net.parameters[::2], net.parameters[1::2],

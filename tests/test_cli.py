@@ -441,6 +441,24 @@ def test_pretrain_teacher_command(tmp_path, capsys):
     assert "teacher params:" in printed
 
 
+def test_diverged_pretrain_teacher_leaves_a_summary(capsys):
+    argv = ["pretrain-teacher", "--eta0", "1e10", "--teacher-epochs", "2", "--classes", "3",
+            "--dim", "4", "--per-class", "40", "--out", "teach"]
+    assert main(argv) == 3
+    summary = json.loads(Path("teach", "summary.json").read_text(encoding="ascii"))
+    assert sorted(Path("teach").iterdir()) == [Path("teach", "summary.json")]
+    assert capsys.readouterr().err == f"numeric abort: {summary['error']}\n"
+    assert summary["error"].startswith("teacher ")
+    assert (summary["status"], summary["phase"], summary["mode"]) == (
+        "diverged", "teacher", "hard_only")
+    assert isinstance(summary["epoch"], int) and isinstance(summary["batch"], int)
+    assert summary["config"]["eta0"] == 1e10
+    # train with the same flags stops at the same place and says so the same way
+    assert main(["train", "--mode", "hard", *argv[1:-1], "run"]) == 3
+    assert json.loads(Path("run", "summary.json").read_text(encoding="ascii")) == summary
+    assert main(["report", "--baseline", "teach", "--ours", "run"]) == 2
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--alpha", "0.5"), ("--beta", "0.5"), ("--gamma", "0.5"), ("--tau", "2.0"),
     ("--epochs", "0"), ("--kl-direction", "conventional"),
@@ -628,6 +646,36 @@ def test_report_on_a_diverged_run_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["report", "--baseline", str(good), "--ours", str(bad)]) == 2
     assert "is a diverged run (phase students, epoch 0, batch " in capsys.readouterr().err
+
+
+def _damaged(run, name, damage):
+    """A copy of run's summary.json and metrics.csv with one of them rewritten by damage."""
+    copy = Path(f"damaged-{name.replace('.', '-')}")
+    copy.mkdir()
+    for file in ("summary.json", "metrics.csv"):
+        text = (run / file).read_text(encoding="ascii")
+        (copy / file).write_text(damage(text) if file == name else text, encoding="ascii")
+    return copy
+
+
+@pytest.mark.parametrize("name,damage,named", [
+    ("summary.json", lambda text: text[: len(text) // 2], "unreadable run file"),
+    ("summary.json", lambda text: "[]\n", "is not a JSON object"),
+    ("summary.json", lambda text: text.replace('"final_val_top1"', '"final"'),
+     "final_val_top1"),
+    ("metrics.csv", lambda text: text.replace("val_top1", "val_acc"), "val_top1"),
+    ("metrics.csv", lambda text: text + "1,s1,0.5\n", "too few fields"),
+])
+def test_report_refuses_a_damaged_run_before_claiming_out(tiny_run, capsys, name, damage,
+                                                         named):
+    bad = _damaged(tiny_run, name, damage)
+    for baseline, ours in ((tiny_run, bad), (bad, tiny_run)):
+        capsys.readouterr()
+        assert main(["report", "--baseline", str(baseline), "--ours", str(ours),
+                     "--out", "rep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and named in err
+        assert not Path("rep").exists()
 
 
 def test_report_incompatible_epochs_exits_2(tmp_path):

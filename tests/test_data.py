@@ -1,5 +1,8 @@
 """Dataset generation, splits, batching, augmentation, and the UKDD format."""
 
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,38 @@ def test_split_disjoint_exhaustive_and_stratified():
     assert np.array_equal(np.sort(merged), np.arange(200))
     for c in range(4):
         assert (ds.labels[ds.val_indices] == c).sum() == 5  # round(0.1 * 50)
+
+
+def _per_class_split(labels, num_classes, val_fraction):
+    """The split rule written plainly: the last val-fraction of each class's rows."""
+    train, val = [], []
+    for c in range(num_classes):
+        idx = np.flatnonzero(labels == c)
+        held = int(round(val_fraction * idx.size))
+        train.append(idx[: idx.size - held])
+        val.append(idx[idx.size - held:])
+    return np.concatenate(train), np.concatenate(val)
+
+
+@pytest.mark.parametrize("spec", [SMALL, DatasetSpec(), DatasetSpec(
+    num_classes=7, samples_per_class=13, feature_dim=3, seed=4, val_fraction=0.3)])
+def test_split_is_the_per_class_rule(spec):
+    ds = generate(spec)
+    train, val = _per_class_split(ds.labels, spec.num_classes, spec.val_fraction)
+    assert ds.train_indices.tobytes() == train.tobytes()
+    assert ds.val_indices.tobytes() == val.tobytes()
+
+
+def test_split_of_interleaved_labels_with_absent_classes_is_the_per_class_rule(tmp_path):
+    ds = generate(SMALL)
+    labels = np.random.default_rng(3).choice([0, 2, 5], ds.labels.size)  # 1, 3, 4 absent
+    path = tmp_path / "sparse.ukdd"
+    save_dataset(Dataset(ds.features, labels, ds.train_indices, ds.val_indices,
+                         ds.norm_mean, ds.norm_std, 6), path)
+    back = load_dataset(path, val_fraction=0.25)
+    train, val = _per_class_split(labels, 6, 0.25)
+    assert back.train_indices.tobytes() == train.tobytes()
+    assert back.val_indices.tobytes() == val.tobytes()
 
 
 def test_normalized_train_split_is_standardized():
@@ -257,3 +292,18 @@ def test_ukdd_rejects_corruption(tmp_path):
     bad_label.write_bytes(bytes(rogue_label))
     with pytest.raises(FormatError, match="label"):
         load_dataset(bad_label)
+
+
+def test_a_huge_declared_class_count_loads_in_time_of_its_rows(tmp_path):
+    # C = 2^32 - 1, N = 2, dim 2: 60 bytes; visiting every declared class would take minutes
+    path = tmp_path / "wide.ukdd"
+    path.write_bytes(b"UKDD" + struct.pack("<IIII", 1, 2**32 - 1, 2, 2)
+                     + struct.pack("<II", 7, 2**32 - 2)
+                     + struct.pack("<4d", 0.0, 1.0, 2.0, 5.0))
+    assert path.stat().st_size == 60
+    started = time.perf_counter()
+    ds = load_dataset(path)
+    assert time.perf_counter() - started < 5.0
+    assert ds.num_classes == 2**32 - 1
+    assert ds.train_indices.tolist() == [0, 1]  # one row per class, round(0.1) = 0 held out
+    assert ds.val_indices.size == 0

@@ -43,7 +43,9 @@ from ukd.gradcore import (
     sub,
     tensor_sum,
 )
-from ukd.harness import TrainConfig, _accuracy, _student_loss
+from ukd.harness import TrainConfig, _accuracy, train_step_dual
+from ukd.nets import LayerSpec, Network
+from ukd.optim import SgdState
 
 # ---------------------------------------------------------------- reference chains
 
@@ -321,22 +323,33 @@ EXTREME = np.array([[1e308, 0.0], [0.0, 1.0]])
 MODERATE = np.array([[0.5, -0.5], [0.0, 1.0]])
 
 
+def _picker(first_column):
+    """One linear layer whose logits are columns first_column and first_column + 1 of x."""
+    weight = np.zeros((6, 2))
+    weight[first_column, 0] = weight[first_column + 1, 1] = 1.0
+    return Network([LayerSpec(6, 2, "none")],
+                   [_leaf(weight), _leaf(np.zeros(2))])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("direction", KL_DIRECTIONS)
 @pytest.mark.parametrize("term", ["hard", "teacher", "peer"])
 def test_non_finite_intermediate_in_a_term_is_named(term, direction):
-    z = MODERATE.copy()
-    t_logits, peer_logits = MODERATE.copy(), MODERATE.copy()
+    # the teacher's logits are columns 0-1 of the batch, s1's 2-3 and s2's 4-5
+    s2_logits = EXTREME.copy()
     if term == "hard":
-        z[0] = [1e308, -1e308]
-    elif term == "teacher":
-        z = EXTREME.copy()
-    else:
-        peer_logits = EXTREME.copy()
-    config = TrainConfig(mode="dual", tau=0.5, kl_direction=direction)
-    with pytest.raises(NumericError, match=f"^s2 {term} loss term diverged: "):
-        _student_loss("s2", _leaf(z), Tensor(t_logits), np.array([0, 1]), np.ones(2), config,
-                      _leaf(peer_logits))
+        s2_logits = MODERATE.copy()
+        s2_logits[0] = [1e308, -1e308]
+    x = np.hstack([MODERATE, MODERATE, s2_logits])
+    teacher, s1, s2 = _picker(0).freeze(), _picker(2), _picker(4)
+    # s1's peer term reads s2's logits before s2's own terms run, so only the
+    # peer case keeps gamma; it is named for s1
+    gamma, named = (0.2, "s1") if term == "peer" else (0.0, "s2")
+    config = TrainConfig(mode="dual", gamma=gamma, tau=0.5, kl_direction=direction)
+    with pytest.raises(NumericError, match=f"^{named} {term} loss term diverged: "):
+        train_step_dual(teacher, s1, s2, (x, np.array([0, 1])), config,
+                        SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------- lean forms

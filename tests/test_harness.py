@@ -248,6 +248,12 @@ def test_dual_step_computes_six_row_softmaxes(dual_step_graph):
     assert dual_step_graph[2] == 6
 
 
+def test_warm_dual_step_makes_at_most_155_python_calls(dual_step_calls):
+    # one Tensor for the batch, one loop over the students and a list scan
+    # in Network.frozen took it from 170
+    assert sum(dual_step_calls.values()) <= 155
+
+
 def test_warm_dual_step_makes_no_numpy_wrapper_calls(dual_step_calls):
     # .sum/.mean/.max/.all/.any, np.all and np.clip pass through Python wrappers
     # on their way to a ufunc, and np.errstate and np.zeros_like are Python
@@ -815,6 +821,9 @@ def _ckpt_bytes(tmp_path):
     (lambda b: bytes(b[:20]) + b"\x07" + bytes(b[21:]), "activation code"),
     # the second layer's activation code, none -> relu: build refuses such a net
     (lambda b: bytes(b[:29]) + b"\x01" + bytes(b[30:]), "final layer .* offset 29"),
+    # one none layer of (2^32 - 1) x (2^32 - 1): its byte count overflows int64
+    (lambda b: b"UKDC" + struct.pack("<IIIIB", 1, 1, 2**32 - 1, 2**32 - 1, 0),
+     "truncated at offset 21 reading weight_0"),
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate, fragment):
     blob = _ckpt_bytes(tmp_path)
