@@ -285,19 +285,17 @@ def _read_run(run_dir) -> tuple[dict, list[dict]]:
     """A finished run's summary and metrics rows, holding everything report reads.
 
     Anything less, or a diverged run, is a DataError naming the directory.
+    The summary is read first, so a diverged run that left no metrics.csv
+    (a teacher that diverged) is named as diverged.
     """
     run_dir = Path(run_dir)
     summary_path = run_dir / "summary.json"
     metrics_path = run_dir / "metrics.csv"
-    if not summary_path.exists() or not metrics_path.exists():
-        raise DataError(f"{run_dir} is not a run directory "
-                        "(missing summary.json or metrics.csv)")
+    if not summary_path.exists():
+        raise DataError(f"{run_dir} is not a run directory (missing summary.json)")
     try:
         summary = json.loads(summary_path.read_text(encoding="ascii"))
-        with open(metrics_path, encoding="ascii", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = list(reader)
-    except (ValueError, csv.Error) as err:  # bad JSON and non-ASCII bytes are ValueErrors
+    except ValueError as err:  # bad JSON and non-ASCII bytes are ValueErrors
         raise DataError(f"{run_dir} holds an unreadable run file: {err}") from None
     if not isinstance(summary, dict):
         raise DataError(f"{summary_path} is not a JSON object")
@@ -305,6 +303,14 @@ def _read_run(run_dir) -> tuple[dict, list[dict]]:
         raise DataError(f"{run_dir} is a diverged run (phase {summary.get('phase')}, "
                         f"epoch {summary.get('epoch')}, batch {summary.get('batch')}): "
                         f"{summary.get('error')}")
+    if not metrics_path.exists():
+        raise DataError(f"{run_dir} is not a run directory (missing metrics.csv)")
+    try:
+        with open(metrics_path, encoding="ascii", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except (ValueError, csv.Error) as err:
+        raise DataError(f"{run_dir} holds an unreadable run file: {err}") from None
     students = summary.get("students")
     if "epochs" not in summary or not isinstance(students, dict) or not all(
             isinstance(block, dict) and isinstance(block.get("final_val_top1"), (int, float))

@@ -9,6 +9,12 @@ else, which is what makes the mode-reduction equivalences hold bit for bit:
 every ladder row is the dual step with some loss weights at zero, and with
 gamma=0 neither student's updates depend on the other student.
 
+The student phase consumes a per-batch teacher stream: each batch's frozen
+teacher logits and uncertainty statistics. A plain run computes it. The
+rows of one ladder block share the data, the teacher and seeds.shuffle, so
+the first row records the stream in a _TeacherSpill and the later rows
+replay it without running the teacher.
+
 Metrics CSVs must be byte-identical across repeated runs, so they hold no
 timing; the one wall-clock value is total_wall_seconds in the run summary.
 """
@@ -20,7 +26,9 @@ import json
 import math
 import struct
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -215,15 +223,85 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _teacher_stats(teacher: Network, x: Tensor):
+def _teacher_stats(teacher: Network, x: Tensor) -> tuple[Tensor, UncertaintyStats]:
     """Frozen-teacher logits for the batch x, plus uncertainty statistics of its raw softmax.
 
     log_softmax checks the teacher's log-probabilities are finite and keeps
-    the row pair on t_logits, so row_softmax takes no second exp.
+    the row pair on t_logits, so row_softmax takes no second exp. A
+    NumericError is named "teacher forward diverged: ...".
     """
-    t_logits = forward(teacher, x)
-    log_softmax(t_logits, 1.0)
-    return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
+    if not teacher.frozen:
+        raise SpecError("teacher must be frozen before student training")
+    try:
+        t_logits = forward(teacher, x)
+        log_softmax(t_logits, 1.0)
+        return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
+    except NumericError as err:
+        raise NumericError(f"teacher forward diverged: {err}") from err
+
+
+class _TeacherSpill:
+    """One ladder block's teacher stream, spilled to an unnamed temporary file.
+
+    The first train given the spill records each batch's teacher outputs
+    (t_logits, entropy and weight, as raw float64); each later train replays
+    them, one batch at a time, and runs no teacher pass. The stream is a
+    function of the dataset, seeds.shuffle, batch_size, augment_strength,
+    epochs and the teacher: a replay for a run that differs in any of them is
+    refused, and so is a stream that ends early. The file lives in directory
+    (None: the system's temporary directory) without a name, so it is never
+    visible and a crash leaves nothing behind.
+    """
+
+    def __init__(self, directory=None):
+        self.directory = directory
+        self.file = None
+        self.fit = None  # what the recorded stream is a function of
+
+    def teach(self, teacher: Network, config: TrainConfig):
+        """The student phase's x -> (t_logits, stats): records if empty, else replays."""
+        import hashlib  # imported here, after the ladder's first batch, not at startup
+        import tempfile
+
+        digest = hashlib.sha256()
+        for p in teacher.parameters:
+            digest.update(p.data)
+        fit = (config.dataset, config.seeds.shuffle, config.batch_size,
+               config.augment_strength, config.epochs, tuple(teacher.layers),
+               digest.hexdigest())
+        if self.fit is None:
+            self.fit, self.file = fit, tempfile.TemporaryFile(dir=self.directory)
+            write = self.file.write
+
+            def record(x: Tensor):
+                t_logits, stats = taught = _teacher_stats(teacher, x)
+                write(t_logits.data)
+                write(stats.entropy)
+                write(stats.weight)
+                return taught
+            return record
+        if fit != self.fit:
+            raise SpecError("the spilled teacher stream was recorded for another dataset, "
+                            "batch order, augmentation, epoch count or teacher")
+        self.file.seek(0)
+        read, classes = self.file.readinto, config.dataset.num_classes
+
+        def replay(x: Tensor):
+            n = x.data.shape[0]
+            logits, entropy, weight = np.empty((n, classes)), np.empty(n), np.empty(n)
+            for a in (logits, entropy, weight):
+                if read(a) != a.nbytes:
+                    raise DataError("the spilled teacher stream ends before this run's batches")
+            t_logits = Tensor(logits)
+            # nothing writes into logits, so the leaf may keep its τ pair as an
+            # op output does, and both students' teacher terms share one softmax
+            t_logits.rows = {}
+            return t_logits, UncertaintyStats(entropy, weight)
+        return replay
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
 
 
 def _update(loss: Tensor, opt: SgdState) -> None:
@@ -245,26 +323,25 @@ def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int
         yield augment(x, config.augment_strength, rng), y
 
 
-def train_step_dual(teacher: Network, s1: Network, s2: Network, batch,
-                    config: TrainConfig, opt1: SgdState, opt2: SgdState,
+def train_step_dual(taught: tuple[Tensor, UncertaintyStats], s1: Network, s2: Network,
+                    batch, config: TrainConfig, opt1: SgdState, opt2: SgdState,
                     ) -> tuple[LossBreakdown, LossBreakdown, UncertaintyStats]:
     """The dual step: both students see one batch, build their losses, then update.
 
-    Teacher statistics, then s1's and s2's forwards; each student's terms of
-    nonzero weight and their sum, s1 first; then s1 updates, then s2. Each
-    treats the other's logits as a fixed (gradient-stopped) target, so neither
-    update leaks into the other. A NumericError names its stage: "s2 peer loss term".
+    taught holds the batch's teacher outputs (t_logits, stats), computed by
+    _teacher_stats or replayed, and batch is (x, y) with x the Tensor the
+    teacher saw; no forward writes into it. s1's and s2's forwards; each
+    student's terms of nonzero weight and their sum, s1 first; then s1
+    updates, then s2. Each treats the other's logits as a fixed
+    (gradient-stopped) target, so neither update leaks into the other. A
+    NumericError names its stage: "s2 peer loss term".
     """
     x, y = batch
-    if x.shape[0] == 0:
+    if x.data.shape[0] == 0:
         raise DataError("empty batch")
-    if not teacher.frozen:
-        raise SpecError("teacher must be frozen before student training")
-    x = Tensor(x)  # one leaf for the three forwards; none writes into it
-    stage = "teacher forward"
+    t_logits, stats = taught
+    stage = "s1 forward"
     try:
-        t_logits, stats = _teacher_stats(teacher, x)
-        stage = "s1 forward"
         z1 = forward(s1, x)
         stage = "s2 forward"
         z2 = forward(s2, x)
@@ -365,13 +442,18 @@ def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
 
 
 @_QUIET_FP
-def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> RunResult:
+def train(config: TrainConfig, out_dir=None, teacher: Network | None = None,
+          spill: _TeacherSpill | None = None) -> RunResult:
     """Run one full training per the config; write metrics/checkpoints if out_dir.
 
     A prebuilt frozen teacher may be passed to share pretraining across runs;
     it must be byte-identical to what pretrain_teacher(config) would build,
     which holds whenever data and teacher seeds (and teacher hypers) match.
     Its frozen state and its layers are checked before anything is written.
+
+    The student phase takes each batch's teacher outputs from _teacher_stats,
+    or, given a spill, records them into it (an empty spill) or replays them
+    from it; a replayed run's files are byte-identical to a computed one's.
 
     The run lives in memory, and each file in out_dir is written whole from
     it by _write_atomic: metrics.csv after every student epoch, so a killed
@@ -409,6 +491,8 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
         else:
             teacher_val = evaluate(teacher, ds, "val")["top1"]
         phase = "students"
+        teach = (partial(_teacher_stats, teacher) if spill is None
+                 else spill.teach(teacher, config))
         _write_metrics(run_dir, records)
         for epoch in range(config.epochs):
             lr = lr_at(config.eta0, config.epochs, epoch)
@@ -418,10 +502,11 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None) -> 
             seen = 0
             for batch, (x, y) in enumerate(
                     _augmented_batches(ds, config, config.seeds.shuffle, epoch)):
+                x = Tensor(x)  # one leaf for the teacher's and both students' forwards
                 bd1, bd2, stats = train_step_dual(
-                    teacher, students["s1"], students["s2"], (x, y), config,
+                    teach(x), students["s1"], students["s2"], (x, y), config,
                     opts["s1"], opts["s2"])
-                n = x.shape[0]
+                n = x.data.shape[0]
                 for name, bd in (("s1", bd1), ("s2", bd2)):
                     breakdowns[name].append(bd)
                     sums[name] = [s + n * v for s, v in
@@ -565,15 +650,21 @@ def _ablation_config(base: TrainConfig, mode: str, block: int) -> TrainConfig:
 
 
 def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, float]]:
-    """All four ladder rows for one seed block; the hard_only row's train pretrains the teacher."""
+    """All four ladder rows for one seed block, on one teacher pass per batch.
+
+    The hard_only row's train pretrains the teacher and records its per-batch
+    outputs in a spill in out_root; the later rows reuse the teacher and
+    replay the spill. The spill is closed, and so gone, however the block ends.
+    """
     teacher: Network | None = None
     finals: dict[str, dict[str, float]] = {}
-    for mode in ABLATION_ROWS:
-        run_dir = None if out_root is None else Path(out_root) / f"{mode}-block{block}"
-        result = train(_ablation_config(base, mode, block), run_dir, teacher=teacher)
-        teacher = result.teacher
-        finals[mode] = {name: result.summary["students"][name]["final_val_top1"]
-                        for name in ("s1", "s2")}
+    with closing(_TeacherSpill(out_root)) as spill:
+        for mode in ABLATION_ROWS:
+            run_dir = None if out_root is None else Path(out_root) / f"{mode}-block{block}"
+            result = train(_ablation_config(base, mode, block), run_dir, teacher, spill)
+            teacher = result.teacher
+            finals[mode] = {name: result.summary["students"][name]["final_val_top1"]
+                            for name in ("s1", "s2")}
     return finals
 
 
@@ -583,7 +674,8 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
 
     Rows: hard labels only; plus teacher KD (weights fixed, confidence off);
     plus confidence weighting; plus the peer term (dual mode). Each block
-    pretrains one teacher reused across its rows. jobs > 1 runs blocks in
+    pretrains one teacher reused across its rows and runs it once per batch:
+    the later rows replay the first row's teacher outputs. jobs > 1 runs blocks in
     parallel processes, each on one BLAS thread so that the workers do not
     compete for the cores; results are merged in block order either way.
     """

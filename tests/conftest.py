@@ -8,7 +8,6 @@ it computes and the Python function calls it makes.
 """
 
 import argparse
-import functools
 import os
 import subprocess
 import sys
@@ -42,13 +41,16 @@ def _reachable_nodes(loss) -> int:
 
 
 def _dual_step():
-    """A default dual-mode train_step_dual on fresh networks, as a no-argument call.
+    """One batch of a default dual-mode train on fresh networks, as a no-argument call.
 
-    A partial, not a lambda, so a profile of the call sees only the step's own calls.
+    It does what train does per computed batch: wrap the batch in one Tensor,
+    take the teacher statistics from _teacher_stats, and run train_step_dual.
+    _dual_step_calls leaves out the frame of this plumbing function itself.
     """
     import numpy as np
 
     from ukd import harness
+    from ukd.gradcore import Tensor
     from ukd.nets import build
     from ukd.optim import SgdState
 
@@ -59,8 +61,12 @@ def _dual_step():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(config.batch_size, config.dataset.feature_dim))
     y = rng.integers(0, config.dataset.num_classes, config.batch_size)
-    return functools.partial(harness.train_step_dual, teacher, *students, (x, y), config,
-                             *opts)
+
+    def step():
+        xt = Tensor(x)
+        return harness.train_step_dual(harness._teacher_stats(teacher, xt), *students,
+                                       (xt, y), config, *opts)
+    return step
 
 
 def _dual_step_graph() -> tuple[int, list[int], int]:
@@ -104,7 +110,7 @@ def _dual_step_calls() -> Counter:
     calls = Counter()
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and frame.f_code is not step.__code__:
             calls[Path(frame.f_code.co_filename).as_posix()] += 1
 
     sys.setprofile(profile)

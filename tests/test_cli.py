@@ -456,7 +456,12 @@ def test_diverged_pretrain_teacher_leaves_a_summary(capsys):
     # train with the same flags stops at the same place and says so the same way
     assert main(["train", "--mode", "hard", *argv[1:-1], "run"]) == 3
     assert json.loads(Path("run", "summary.json").read_text(encoding="ascii")) == summary
+    capsys.readouterr()
+    # there is no metrics.csv, and report names the divergence, not the missing file
     assert main(["report", "--baseline", "teach", "--ours", "run"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: teach is a diverged run (phase teacher, epoch {summary['epoch']}, "
+        f"batch {summary['batch']}): {summary['error']}\n")
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -43,7 +43,7 @@ from ukd.gradcore import (
     sub,
     tensor_sum,
 )
-from ukd.harness import TrainConfig, _accuracy, train_step_dual
+from ukd.harness import TrainConfig, _accuracy, _teacher_stats, train_step_dual
 from ukd.nets import LayerSpec, Network
 from ukd.optim import SgdState
 
@@ -340,14 +340,14 @@ def test_non_finite_intermediate_in_a_term_is_named(term, direction):
     if term == "hard":
         s2_logits = MODERATE.copy()
         s2_logits[0] = [1e308, -1e308]
-    x = np.hstack([MODERATE, MODERATE, s2_logits])
+    x = Tensor(np.hstack([MODERATE, MODERATE, s2_logits]))
     teacher, s1, s2 = _picker(0).freeze(), _picker(2), _picker(4)
     # s1's peer term reads s2's logits before s2's own terms run, so only the
     # peer case keeps gamma; it is named for s1
     gamma, named = (0.2, "s1") if term == "peer" else (0.0, "s2")
     config = TrainConfig(mode="dual", gamma=gamma, tau=0.5, kl_direction=direction)
     with pytest.raises(NumericError, match=f"^{named} {term} loss term diverged: "):
-        train_step_dual(teacher, s1, s2, (x, np.array([0, 1])), config,
+        train_step_dual(_teacher_stats(teacher, x), s1, s2, (x, np.array([0, 1])), config,
                         SgdState(s1.parameters, 0.1, 0.0, 0.0),
                         SgdState(s2.parameters, 0.1, 0.0, 0.0))
 

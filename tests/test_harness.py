@@ -11,6 +11,9 @@ import json
 import math
 import pickle
 import struct
+import tempfile
+from contextlib import closing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +67,13 @@ def net_digest(net):
 def clone_net(net):
     params = [Tensor(p.data.copy(), requires_grad=True) for p in net.parameters]
     return Network(list(net.layers), params)
+
+
+def dual_step(teacher, s1, s2, batch, cfg, opt1, opt2):
+    """What train does per computed batch: teacher statistics, then the dual step."""
+    x = Tensor(batch[0])
+    return train_step_dual(harness._teacher_stats(teacher, x), s1, s2, (x, batch[1]), cfg,
+                           opt1, opt2)
 
 
 # ------------------------------------------------------------------ config
@@ -204,7 +214,7 @@ def test_dual_step_matches_scalar_transcript():
     cfg = TrainConfig(mode="dual", tau=2.0)
     opt1 = SgdState(s1.parameters, 0.05, 0.0, 0.0)
     opt2 = SgdState(s2.parameters, 0.05, 0.0, 0.0)
-    bd1, bd2, stats = train_step_dual(teacher, s1, s2, (x, y), cfg, opt1, opt2)
+    bd1, bd2, stats = dual_step(teacher, s1, s2, (x, y), cfg, opt1, opt2)
 
     hard = {1: [], 2: []}
     teach = {1: [], 2: []}
@@ -274,7 +284,7 @@ def test_dual_step_leaves_teacher_untouched():
     opt1 = SgdState(s1.parameters, 0.1, 0.9, 1e-4)
     opt2 = SgdState(s2.parameters, 0.1, 0.9, 1e-4)
     for batch in batches(ds, "train", 32, cfg.seeds.shuffle, 0):
-        train_step_dual(teacher, s1, s2, batch, cfg, opt1, opt2)
+        dual_step(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert net_digest(teacher) == before
 
 
@@ -285,9 +295,9 @@ def test_dual_step_requires_frozen_teacher():
     s2 = build(cfg.student2_spec, 2)
     batch = (np.zeros((2, 8)), np.array([0, 1]))
     with pytest.raises(SpecError, match="frozen"):
-        train_step_dual(teacher, s1, s2, batch, cfg,
-                        SgdState(s1.parameters, 0.1, 0.0, 0.0),
-                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
+        dual_step(teacher, s1, s2, batch, cfg,
+                  SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                  SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
 
 def test_dual_step_stats_within_bounds():
@@ -299,7 +309,7 @@ def test_dual_step_stats_within_bounds():
     opt1 = SgdState(s1.parameters, 0.1, 0.9, 0.0)
     opt2 = SgdState(s2.parameters, 0.1, 0.9, 0.0)
     batch = batches(ds, "train", 32, 4, 0)[0]
-    bd1, bd2, stats = train_step_dual(teacher, s1, s2, batch, cfg, opt1, opt2)
+    bd1, bd2, stats = dual_step(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert np.all(stats.weight >= 0.0) and np.all(stats.weight <= 1.0)
     assert np.all(stats.entropy >= 0.0)
     assert np.all(stats.entropy <= math.log(SMALL_DATA.num_classes) + 1e-12)
@@ -323,7 +333,7 @@ def test_dual_without_peer_updates_students_independently():
     opts = {id(net): mk(net) for net in (a1, a2, b1, b2, c1, c2)}
     for batch in batches(ds, "train", 32, 4, 0):
         for n1, n2 in ((a1, a2), (b1, b2), (c1, c2)):
-            train_step_dual(teacher, n1, n2, batch, cfg, opts[id(n1)], opts[id(n2)])
+            dual_step(teacher, n1, n2, batch, cfg, opts[id(n1)], opts[id(n2)])
     assert net_digest(a1) == net_digest(b1)
     assert net_digest(a2) == net_digest(c2)
     for (x, y) in ((a1, b1), (a2, c2)):
@@ -341,7 +351,7 @@ def test_hard_only_step_is_plain_supervised():
     mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_dual(teacher, a1, a2, batch, cfg, oa1, oa2)
+        dual_step(teacher, a1, a2, batch, cfg, oa1, oa2)
         for net, opt in ((b1, ob1), (b2, ob2)):
             x, y = batch
             loss = hard_loss(forward(net, Tensor(x)), y)
@@ -363,11 +373,11 @@ def test_baseline_equals_uncertainty_with_unit_weights(monkeypatch):
     mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_dual(teacher, a1, a2, batch, kd_cfg, oa1, oa2)
+        dual_step(teacher, a1, a2, batch, kd_cfg, oa1, oa2)
     monkeypatch.setattr("ukd.harness.confidence_for_mode",
                         lambda mode, stats: np.ones_like(stats.weight))
     for batch in batches(ds, "train", 32, 4, 0):
-        train_step_dual(teacher, b1, b2, batch, ukd_cfg, ob1, ob2)
+        dual_step(teacher, b1, b2, batch, ukd_cfg, ob1, ob2)
     assert net_digest(a1) == net_digest(b1)
     assert net_digest(a2) == net_digest(b2)
 
@@ -385,9 +395,9 @@ def test_diverging_term_names_itself(monkeypatch, term):
 
     monkeypatch.setattr(f"ukd.harness.{term}_loss", explode)
     with pytest.raises(NumericError, match=f"{term} loss term"):
-        train_step_dual(teacher, s1, s2, batches(ds, "train", 32, 4, 0)[0], cfg,
-                        SgdState(s1.parameters, 0.1, 0.0, 0.0),
-                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
+        dual_step(teacher, s1, s2, batches(ds, "train", 32, 4, 0)[0], cfg,
+                  SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                  SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
 
 def test_runaway_lr_aborts_with_numeric_error():
@@ -910,6 +920,106 @@ def test_ablation_workers_run_one_blas_thread(monkeypatch):
     finally:
         set_threads(before)
     assert result.finals["dual"] == {"s1": [1, 1], "s2": [1, 1]}
+
+
+def _run_files(run_dir):
+    """Every file of a run directory, summary.json without its wall-clock field."""
+    files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    summary = json.loads(files.pop("summary.json"))
+    summary.pop("total_wall_seconds")
+    return files, summary
+
+
+def test_ladder_rows_replaying_the_teacher_stream_equal_plain_runs(tmp_path, monkeypatch):
+    base = small_config("dual", epochs=2, teacher_epochs=2)
+    passes = []
+    real_stats = harness._teacher_stats
+    monkeypatch.setattr(harness, "_teacher_stats",
+                        lambda teacher, x: passes.append(1) or real_stats(teacher, x))
+    ablate(base, [1], out_root=tmp_path / "abl")
+    # the teacher runs for the hard_only row's batches only; the spill is never visible
+    per_row = base.epochs * math.ceil(len(generate(replace(SMALL_DATA, seed=1000))
+                                          .train_indices) / base.batch_size)
+    assert len(passes) == per_row
+    assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == sorted(
+        ["ablation.csv", "ablation.txt"] + [f"{mode}-block1" for mode in ABLATION_ROWS])
+    teacher = None
+    for mode in ABLATION_ROWS:
+        solo = train(harness._ablation_config(base, mode, 1), tmp_path / mode, teacher=teacher)
+        teacher = solo.teacher
+        assert _run_files(tmp_path / "abl" / f"{mode}-block1") == _run_files(tmp_path / mode)
+    assert len(passes) == 5 * per_row  # each plain run computes the stream itself
+
+
+def _spying_on_spills(monkeypatch):
+    """The spill files ablate opens, as (directory, file object) pairs."""
+    opened, real = [], tempfile.TemporaryFile
+
+    def spy(*args, **kwargs):
+        opened.append((kwargs.get("dir"), real(*args, **kwargs)))
+        return opened[-1][1]
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spy)
+    return opened
+
+
+@pytest.mark.parametrize("ending,rows_left", [
+    (None, ABLATION_ROWS),
+    (NumericError("s1 forward diverged: dense produced non-finite values"), ["hard_only"]),
+    (KeyboardInterrupt(), ["hard_only", "baseline_kd", "uncertainty_kd"]),
+])
+def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeypatch,
+                                                               ending, rows_left):
+    opened = _spying_on_spills(monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    real_step, steps = harness.train_step_dual, []
+
+    def step(*args):
+        steps.append(args[4].mode)
+        # a NumericError in the recording row's second batch, or an interrupt
+        # in the first replayed batch of the third row
+        if ending is not None and steps[-1] == rows_left[-1] and (
+                isinstance(ending, KeyboardInterrupt) or steps.count("hard_only") == 2):
+            raise ending
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "train_step_dual", step)
+    base = small_config("dual", epochs=2, teacher_epochs=2)
+    for out_root in (tmp_path / "abl", None):
+        steps.clear()
+        if ending is None:
+            ablate(base, [0], out_root=out_root)
+        else:
+            with pytest.raises(type(ending)):
+                ablate(base, [0], out_root=out_root)
+        assert opened[-1][0] == out_root and opened[-1][1].closed
+    assert len(opened) == 2
+    ablation_files = ["ablation.csv", "ablation.txt"] if ending is None else []
+    assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == sorted(
+        ablation_files + [f"{mode}-block0" for mode in rows_left])
+    assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_a_replay_refuses_a_stream_that_does_not_fit(tmp_path):
+    cfg = small_config("hard_only", epochs=2, teacher_epochs=2)
+    kd = replace(cfg, mode="baseline_kd", alpha=None, beta=None, gamma=None)
+    with closing(harness._TeacherSpill(tmp_path)) as spill:
+        teacher = train(cfg, None, None, spill).teacher
+        replayed = train(kd, None, teacher, spill)
+        assert replayed.records == train(kd, None, teacher).records
+        other_teacher = build(cfg.teacher_spec, 5).freeze()
+        for other, net in ((replace(kd, batch_size=16), teacher),
+                           (replace(kd, seeds=replace(kd.seeds, shuffle=99)), teacher),
+                           (replace(kd, augment_strength=0.2), teacher),
+                           (replace(kd, epochs=3), teacher),
+                           (kd, other_teacher)):
+            with pytest.raises(SpecError, match="spilled teacher stream was recorded for"):
+                train(other, None, net, spill)
+        spill.file.truncate(spill.file.seek(0, 2) - 8)  # one weight short
+        with pytest.raises(DataError, match="spilled teacher stream ends before"):
+            train(kd, None, teacher, spill)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ablation_input_validation():
