@@ -7,11 +7,14 @@ to sample instead of saturating at 1. A DatasetSpec checks its fields when
 it is built, down to both splits holding rows, so generate takes any spec
 that exists.
 
-Features are stored raw. Normalization statistics come from the training
-split only; both splits are normalized with them at batch time. The split
-itself is a pure function of the label layout (the last val-fraction of each
-class's rows), so a dataset exported to a file and re-imported reconstructs
-the identical split and statistics.
+Only the raw features are held, one copy. Normalization statistics come
+from the training split only; rows are normalized with them as they are used,
+one batch (batches) or one 512-row chunk (harness.evaluate) at a time, never a
+whole split. Normalization is elementwise, so a row's normalized bits do not
+depend on which rows share its batch. The split itself is a pure function of
+the label layout (the last val-fraction of each class's rows), so a dataset
+exported to a file and re-imported reconstructs the identical split and
+statistics.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,11 +82,9 @@ class Dataset:
             raise ParameterError(f"split must be one of {SPLITS}, got {split!r}")
         return self.train_indices if split == "train" else self.val_indices
 
-    def split_arrays(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        """Normalized features and labels for one split."""
-        idx = self.split_indices(split)
-        normalized = (self.features[idx] - self.norm_mean) / self.norm_std
-        return normalized, self.labels[idx]
+    def normalized(self, rows: np.ndarray) -> np.ndarray:
+        """A new array of the given rows' features, normalized with the train stats."""
+        return (self.features[rows] - self.norm_mean) / self.norm_std
 
 
 def class_means(spec: DatasetSpec) -> np.ndarray:
@@ -99,14 +101,14 @@ def _draw_means(rng: np.random.Generator, c: int, dim: int) -> np.ndarray:
 
 
 def generate(spec: DatasetSpec) -> Dataset:
-    """Draw the mixture: means first, then per-class sample blocks, then split."""
+    """Draw the mixture: means first, then each class's rows in place, then split."""
     rng = np.random.default_rng(spec.seed)
     means = _draw_means(rng, spec.num_classes, spec.feature_dim)
-    blocks = [
-        means[c] + spec.overlap_sigma * rng.standard_normal((spec.samples_per_class, spec.feature_dim))
-        for c in range(spec.num_classes)
-    ]
-    features = np.vstack(blocks)
+    features = np.empty((spec.num_classes * spec.samples_per_class, spec.feature_dim))
+    for mean, block in zip(means, features.reshape(spec.num_classes, -1, spec.feature_dim)):
+        rng.standard_normal(out=block)  # block is a view: its class's rows of features
+        block *= spec.overlap_sigma
+        block += mean
     labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
     return _assemble(features, labels, spec.num_classes, spec.val_fraction)
 
@@ -155,25 +157,23 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
 
 
 def batches(ds: Dataset, split: str, batch_size: int, shuffle_seed: int,
-            epoch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            epoch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Normalized (features, labels) batches; train order is a per-epoch permutation.
 
-    Validation order is fixed. The last partial batch is kept.
+    Validation order is fixed. The last partial batch is kept. Arguments are
+    checked now; each batch is normalized when the iterator draws it.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if epoch < 0 or shuffle_seed < 0:
         raise ParameterError("shuffle_seed and epoch must be nonnegative")
-    feats, labels = ds.split_arrays(split)
-    if feats.shape[0] == 0:
+    idx = ds.split_indices(split)
+    if idx.size == 0:
         raise DataError(f"split {split!r} is empty")
     if split == "train":
-        order = np.random.default_rng([shuffle_seed, epoch]).permutation(feats.shape[0])
-        feats, labels = feats[order], labels[order]
-    return [
-        (feats[i: i + batch_size], labels[i: i + batch_size])
-        for i in range(0, feats.shape[0], batch_size)
-    ]
+        idx = idx[np.random.default_rng([shuffle_seed, epoch]).permutation(idx.size)]
+    return ((ds.normalized(idx[i: i + batch_size]), ds.labels[idx[i: i + batch_size]])
+            for i in range(0, idx.size, batch_size))
 
 
 def augment(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndarray:
@@ -229,9 +229,9 @@ def _write_atomic(path, blob: bytes) -> None:
 def save_dataset(ds: Dataset, path) -> None:
     """Flat binary export: UKDD magic, version, C, N, dim, labels, raw features."""
     n, dim = ds.features.shape
-    _write_atomic(path, b"".join([
+    _write_atomic(path, b"".join([  # one copy: the join reads the arrays' buffers
         UKDD_MAGIC, struct.pack("<IIII", UKDD_VERSION, ds.num_classes, n, dim),
-        ds.labels.astype("<u4").tobytes(), ds.features.astype("<f8").tobytes()]))
+        np.ascontiguousarray(ds.labels, "<u4"), np.ascontiguousarray(ds.features, "<f8")]))
 
 
 def load_dataset(path, val_fraction: float = 0.1) -> Dataset:
@@ -254,8 +254,9 @@ def load_dataset(path, val_fraction: float = 0.1) -> Dataset:
             f"expected {total} bytes for C={num_classes} N={n} dim={dim}, got {len(blob)} "
             f"(payload starts at offset 20)"
         )
-    labels = np.frombuffer(blob[20:labels_end], dtype="<u4").astype(np.int64)
+    labels = np.frombuffer(blob, "<u4", count=n, offset=20).astype(np.int64)
     if (labels >= num_classes).any():
         raise FormatError(f"label out of range [0, {num_classes}) at offset 20")
-    features = np.frombuffer(blob[labels_end:], dtype="<f8").reshape(n, dim).copy()
+    features = np.frombuffer(blob, "<f8", count=n * dim, offset=labels_end).reshape(n, dim).copy()
+    del blob  # features and labels own their bytes: free the file's before the split
     return _assemble(features, labels, num_classes, val_fraction)

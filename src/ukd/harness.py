@@ -404,41 +404,40 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
 def evaluate(net: Network, ds: Dataset, split: str) -> dict[str, float]:
     """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class.
 
-    A row whose label has no logit (label >= C) is a miss. Logits come in
-    512-row chunks, and the chunk size can change their last bits: with
-    OpenBLAS on one thread, the default teacher's logits in 512-row chunks
-    equal those of 64-row batches bit for bit, but in chunks of 896 rows or
-    more (4,500 included) they do not.
+    A row whose label has no logit (label >= C) is a miss. The split's rows
+    are normalized, run and ranked in 512-row chunks, so the only
+    whole-split array held is one rank per row. The chunk size can change
+    the logits' last bits: with OpenBLAS on one thread, the default
+    teacher's logits in 512-row chunks equal those of 64-row batches bit for
+    bit, but in chunks of 896 rows or more (4,500 included) they do not.
     """
-    feats, labels = ds.split_arrays(split)
-    n = feats.shape[0]
-    if n == 0:
+    idx = ds.split_indices(split)
+    if idx.size == 0:
         raise DataError(f"split {split!r} is empty")
+    ranks = np.empty(idx.size, dtype=np.int64)
     with no_grad():
-        logits = np.vstack([
-            forward(net, Tensor(feats[i: i + 512])).data
-            for i in range(0, n, 512)
-        ])
-    return _accuracy(logits, labels)
+        for i in range(0, idx.size, 512):
+            rows = idx[i: i + 512]
+            logits = forward(net, Tensor(ds.normalized(rows))).data
+            ranks[i: i + 512] = _label_ranks(logits, ds.labels[rows])
+    k = min(5, net.layers[-1].out_dim)
+    return {"top1": float(np.add.reduce(ranks == 0) / idx.size),
+            "top5": float(np.add.reduce(ranks < k) / idx.size)}
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-    """Top-1 and top-k shares of rows, k = min(5, C), scored by label rank.
+def _label_ranks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's label rank: top-1 is rank 0 and top-k is rank < k, with no sort.
 
     A label's rank is the number of classes with a higher logit, or an equal
-    logit and a lower index: its position in a stable descending sort, so
-    top-1 is rank 0 and top-k is rank < k, with no sort. A label outside
-    [0, C) has no logit, so its row is a miss, as it is in the sort.
+    logit and a lower index: its position in a stable descending sort. A
+    label outside [0, C) has no logit and ranks C, a miss at every k <= C,
+    as it is in the sort.
     """
     n, c = logits.shape
     safe = np.clip(labels, 0, c - 1)
-    scored = labels == safe
     own = logits[np.arange(n), safe][:, None]
     ahead = (logits > own) | ((logits == own) & (np.arange(c) < safe[:, None]))
-    rank = np.add.reduce(ahead, axis=1)
-    k = min(5, c)
-    return {"top1": float(np.add.reduce(scored & (rank == 0)) / n),
-            "top5": float(np.add.reduce(scored & (rank < k)) / n)}
+    return np.where(labels == safe, np.add.reduce(ahead, axis=1), c)
 
 
 @_QUIET_FP
@@ -736,14 +735,11 @@ def _one_blas_thread() -> None:
 
 def save_checkpoint(net: Network, path) -> None:
     """UKDC: magic, version, layer table, net.parameters; activation codes index ACTIVATIONS."""
-    buf = bytearray(UKDC_MAGIC)
-    buf += struct.pack("<II", UKDC_VERSION, len(net.layers))
-    for layer in net.layers:
-        buf += struct.pack("<IIB", layer.in_dim, layer.out_dim,
-                           ACTIVATIONS.index(layer.activation))
-    for p in net.parameters:
-        buf += p.data.astype("<f8").tobytes()
-    _write_atomic(path, bytes(buf))
+    parts = [UKDC_MAGIC, struct.pack("<II", UKDC_VERSION, len(net.layers))]
+    parts += [struct.pack("<IIB", layer.in_dim, layer.out_dim,
+                          ACTIVATIONS.index(layer.activation)) for layer in net.layers]
+    parts += [np.ascontiguousarray(p.data, "<f8") for p in net.parameters]
+    _write_atomic(path, b"".join(parts))  # one copy: the join reads the arrays' buffers
 
 
 def load_checkpoint(path) -> Network:
@@ -786,7 +782,7 @@ def load_checkpoint(path) -> Network:
             size = 8 * math.prod(shape)  # Python ints: a huge layer cannot wrap
             if offset + size > len(blob):
                 raise FormatError(f"file truncated at offset {offset} reading {name}")
-            arr = np.frombuffer(blob[offset: offset + size], dtype="<f8").reshape(shape)
+            arr = np.frombuffer(blob, "<f8", count=size // 8, offset=offset).reshape(shape)
             parameters.append(Tensor(arr.copy(), requires_grad=True))
             offset += size
     if offset != len(blob):

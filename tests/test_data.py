@@ -5,8 +5,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ukd.data import (
+    SPLITS,
     Dataset,
     DatasetSpec,
     augment,
@@ -67,6 +70,25 @@ def test_generate_is_bit_reproducible():
     assert _dataset_bytes(generate(SMALL)) != _dataset_bytes(generate(other))
 
 
+def _generate_by_blocks(spec):
+    """generate's features as they were built: a list of class blocks, stacked."""
+    rng = np.random.default_rng(spec.seed)
+    rng.standard_normal((spec.num_classes, spec.feature_dim))  # the class means' draw
+    means = class_means(spec)
+    blocks = [means[c] + spec.overlap_sigma
+              * rng.standard_normal((spec.samples_per_class, spec.feature_dim))
+              for c in range(spec.num_classes)]
+    return np.vstack(blocks)
+
+
+@pytest.mark.parametrize("spec", [SMALL, DatasetSpec(), DatasetSpec(
+    num_classes=7, samples_per_class=13, feature_dim=3, overlap_sigma=2.5, seed=4)])
+def test_generate_fills_the_features_the_block_stack_built(spec):
+    want = _generate_by_blocks(spec)
+    got = generate(spec).features
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
 def test_labels_exactly_balanced_before_split():
     ds = generate(SMALL)
     np.testing.assert_array_equal(np.bincount(ds.labels), [50, 50, 50, 50])
@@ -114,7 +136,7 @@ def test_split_of_interleaved_labels_with_absent_classes_is_the_per_class_rule(t
 
 def test_normalized_train_split_is_standardized():
     ds = generate(DatasetSpec())
-    feats, _ = ds.split_arrays("train")
+    feats = ds.normalized(ds.train_indices)
     assert np.abs(feats.mean(axis=0)).max() < 1e-9
     assert np.abs(feats.std(axis=0) - 1.0).max() < 1e-9
 
@@ -124,7 +146,7 @@ def test_norm_stats_come_from_training_split_only():
     train_raw = ds.features[ds.train_indices]
     np.testing.assert_array_equal(ds.norm_mean, train_raw.mean(axis=0))
     np.testing.assert_array_equal(ds.norm_std, train_raw.std(axis=0))
-    val_feats, _ = ds.split_arrays("val")
+    val_feats = ds.normalized(ds.val_indices)
     assert np.abs(val_feats.mean(axis=0)).max() > 1e-9  # val is not self-normalized
 
 
@@ -164,8 +186,8 @@ def test_bayes_oracle_ceiling_on_default_dataset():
 
 def test_batches_partition_the_split():
     ds = generate(SMALL)
-    got = batches(ds, "train", 32, shuffle_seed=3, epoch=0)
-    feats, labels = ds.split_arrays("train")
+    got = list(batches(ds, "train", 32, shuffle_seed=3, epoch=0))
+    feats, labels = ds.normalized(ds.train_indices), ds.labels[ds.train_indices]
     cat_feats = np.vstack([b[0] for b in got])
     cat_labels = np.concatenate([b[1] for b in got])
     assert cat_feats.shape == feats.shape
@@ -173,6 +195,33 @@ def test_batches_partition_the_split():
     order_want = np.lexsort(feats.T)
     np.testing.assert_array_equal(cat_feats[order_got], feats[order_want])
     np.testing.assert_array_equal(np.sort(cat_labels), np.sort(labels))
+
+
+def _whole_split_batches(ds, split, batch_size, shuffle_seed, epoch):
+    """batches as it was: normalize the whole split, permute it, then slice it."""
+    idx = ds.split_indices(split)
+    feats, labels = (ds.features[idx] - ds.norm_mean) / ds.norm_std, ds.labels[idx]
+    if split == "train":
+        order = np.random.default_rng([shuffle_seed, epoch]).permutation(idx.size)
+        feats, labels = feats[order], labels[order]
+    return [(feats[i: i + batch_size], labels[i: i + batch_size])
+            for i in range(0, idx.size, batch_size)]
+
+
+WIDE = generate(DatasetSpec(num_classes=5, samples_per_class=120, feature_dim=6,
+                            overlap_sigma=1.3, seed=8))  # 540 train rows, 60 val
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPLITS), st.integers(1, 600), st.integers(0, 2**32 - 1),
+       st.integers(0, 200))
+def test_batches_are_slices_of_the_whole_normalized_split(split, batch_size, seed, epoch):
+    got = list(batches(WIDE, split, batch_size, seed, epoch))
+    want = _whole_split_batches(WIDE, split, batch_size, seed, epoch)
+    assert len(got) == len(want)
+    for (x, y), (wx, wy) in zip(got, want):
+        assert np.array_equal(x, wx) and x.tobytes() == wx.tobytes()
+        assert np.array_equal(y, wy) and y.dtype == wy.dtype
 
 
 def test_batches_keep_last_partial_batch():
@@ -196,9 +245,9 @@ def test_batches_deterministic_per_seed_epoch_and_distinct_across_epochs():
 
 def test_val_batches_keep_fixed_order_across_epochs():
     ds = generate(SMALL)
-    a = batches(ds, "val", 8, shuffle_seed=1, epoch=0)
-    b = batches(ds, "val", 8, shuffle_seed=9, epoch=5)
-    feats, labels = ds.split_arrays("val")
+    a = list(batches(ds, "val", 8, shuffle_seed=1, epoch=0))
+    b = list(batches(ds, "val", 8, shuffle_seed=9, epoch=5))
+    feats, labels = ds.normalized(ds.val_indices), ds.labels[ds.val_indices]
     np.testing.assert_array_equal(np.vstack([x[0] for x in a]), feats)
     np.testing.assert_array_equal(np.vstack([x[0] for x in b]), feats)
     np.testing.assert_array_equal(np.concatenate([x[1] for x in a]), labels)

@@ -43,7 +43,7 @@ from ukd.gradcore import (
     sub,
     tensor_sum,
 )
-from ukd.harness import TrainConfig, _accuracy, _teacher_stats, train_step_dual
+from ukd.harness import TrainConfig, _label_ranks, _teacher_stats, train_step_dual
 from ukd.nets import LayerSpec, Network
 from ukd.optim import SgdState
 
@@ -506,11 +506,11 @@ def test_backward_is_bitwise_the_full_walk(data):
     assert grads[0] == grads[1]
 
 
-def _plain_accuracy(logits, labels):
-    k = min(5, logits.shape[1])
+def _plain_ranks(logits, labels):
+    """Each label's position in a stable descending sort; C for a label with no logit."""
+    c = logits.shape[1]
     order = np.argsort(-logits, axis=1, kind="stable")
-    return {"top1": float((order[:, 0] == labels).mean()),
-            "top5": float((order[:, :k] == labels[:, None]).any(axis=1).mean())}
+    return np.array([list(row).index(y) if y < c else c for row, y in zip(order, labels)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -524,6 +524,10 @@ def test_rank_scoring_is_the_stable_argsort(data, c):
     # labels c and c + 1 have no logit, as for a net with fewer classes than its data
     labels = np.array(draw(st.lists(st.integers(0, c + 1), min_size=n, max_size=n)),
                       dtype=np.int64)
-    fast, plain = _accuracy(logits, labels), _plain_accuracy(logits, labels)
-    assert ({k: np.float64(v).tobytes() for k, v in fast.items()}
-            == {k: np.float64(v).tobytes() for k, v in plain.items()})
+    ranks = _label_ranks(logits, labels)
+    assert np.array_equal(ranks, _plain_ranks(logits, labels))
+    # so a row is a top-1 hit exactly when its label sorts first, and a top-k
+    # hit exactly when it sorts among the first k, for every k <= C
+    order = np.argsort(-logits, axis=1, kind="stable")
+    for k in range(1, c + 1):
+        assert np.array_equal(ranks < k, (order[:, :k] == labels[:, None]).any(axis=1))

@@ -308,7 +308,7 @@ def test_dual_step_stats_within_bounds():
     s2 = build(cfg.student2_spec, cfg.seeds.student2)
     opt1 = SgdState(s1.parameters, 0.1, 0.9, 0.0)
     opt2 = SgdState(s2.parameters, 0.1, 0.9, 0.0)
-    batch = batches(ds, "train", 32, 4, 0)[0]
+    batch = next(batches(ds, "train", 32, 4, 0))
     bd1, bd2, stats = dual_step(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert np.all(stats.weight >= 0.0) and np.all(stats.weight <= 1.0)
     assert np.all(stats.entropy >= 0.0)
@@ -395,7 +395,7 @@ def test_diverging_term_names_itself(monkeypatch, term):
 
     monkeypatch.setattr(f"ukd.harness.{term}_loss", explode)
     with pytest.raises(NumericError, match=f"{term} loss term"):
-        dual_step(teacher, s1, s2, batches(ds, "train", 32, 4, 0)[0], cfg,
+        dual_step(teacher, s1, s2, next(batches(ds, "train", 32, 4, 0)), cfg,
                   SgdState(s1.parameters, 0.1, 0.0, 0.0),
                   SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
@@ -596,6 +596,34 @@ def test_evaluate_empty_split_is_a_data_error():
         evaluate(net, empty, "val")
 
 
+def _whole_split_scores(net, ds, split):
+    """evaluate as it was: normalize the whole split, stack its 512-row chunks'
+    logits, and place each label in a stable descending sort."""
+    idx = ds.split_indices(split)
+    feats, labels = (ds.features[idx] - ds.norm_mean) / ds.norm_std, ds.labels[idx]
+    logits = np.vstack([forward(net, Tensor(feats[i: i + 512])).data
+                        for i in range(0, idx.size, 512)])
+    k = min(5, logits.shape[1])
+    order = np.argsort(-logits, axis=1, kind="stable")
+    return {"top1": float((order[:, 0] == labels).mean()),
+            "top5": float((order[:, :k] == labels[:, None]).any(axis=1).mean())}
+
+
+def test_evaluate_equals_the_whole_split_scoring():
+    # 1,102 train rows: two whole 512-row chunks and a partial one
+    spec = DatasetSpec(num_classes=6, samples_per_class=204, feature_dim=8,
+                       overlap_sigma=0.9, seed=0)
+    ds = generate(spec)
+    teacher, _ = pretrain_teacher(small_config("dual", dataset=spec,
+                                               teacher_spec=mlp_spec(8, [32], 6)), ds)
+    # and nets with fewer and with more logits than the data has classes
+    for net in (teacher, build(mlp_spec(8, [32], 3), 1), build(mlp_spec(8, [32], 9), 2)):
+        for split in ("train", "val"):
+            got, want = evaluate(net, ds, split), _whole_split_scores(net, ds, split)
+            assert ({k: np.float64(v).tobytes() for k, v in got.items()}
+                    == {k: np.float64(v).tobytes() for k, v in want.items()})
+
+
 # -------------------------------------------------------------------- train
 
 
@@ -722,7 +750,7 @@ def test_validation_pipeline_never_augments(monkeypatch):
     monkeypatch.setattr(hmod, "augment", counting)
     cfg = small_config("dual", epochs=2, teacher_epochs=2)
     ds = generate(cfg.dataset)
-    n_train_batches = len(batches(ds, "train", cfg.batch_size, 0, 0))
+    n_train_batches = len(list(batches(ds, "train", cfg.batch_size, 0, 0)))
     train(cfg, None)
     # one call per train batch, for teacher pretraining plus the student phase
     assert len(calls) == (cfg.teacher_epochs + cfg.epochs) * n_train_batches
