@@ -9,11 +9,12 @@ else, which is what makes the mode-reduction equivalences hold bit for bit:
 every ladder row is the dual step with some loss weights at zero, and with
 gamma=0 neither student's updates depend on the other student.
 
-The student phase consumes a per-batch teacher stream: each batch's frozen
-teacher logits and uncertainty statistics. A plain run computes it. The
-rows of one ladder block share the data, the teacher and seeds.shuffle, so
-the first row records the stream in a _TeacherSpill and the later rows
-replay it without running the teacher.
+A run gets its frozen teacher, the teacher's val top-1 and the per-batch
+teacher stream (each batch's teacher logits and uncertainty statistics)
+from _teacher_phase, and from nowhere else. The rows of one ladder block
+share the data, the teacher and seeds.shuffle, so the block's _TeacherSpill
+runs the teacher phase for the first row and records its stream; the later
+rows get the same teacher and replay the stream without running it.
 
 Metrics CSVs must be byte-identical across repeated runs, so they hold no
 timing; the one wall-clock value is total_wall_seconds in the run summary.
@@ -226,12 +227,11 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
 def _teacher_stats(teacher: Network, x: Tensor) -> tuple[Tensor, UncertaintyStats]:
     """Frozen-teacher logits for the batch x, plus uncertainty statistics of its raw softmax.
 
+    pretrain_teacher froze the teacher or train checked it, once per run.
     log_softmax checks the teacher's log-probabilities are finite and keeps
     the row pair on t_logits, so row_softmax takes no second exp. A
     NumericError is named "teacher forward diverged: ...".
     """
-    if not teacher.frozen:
-        raise SpecError("teacher must be frozen before student training")
     try:
         t_logits = forward(teacher, x)
         log_softmax(t_logits, 1.0)
@@ -241,48 +241,41 @@ def _teacher_stats(teacher: Network, x: Tensor) -> tuple[Tensor, UncertaintyStat
 
 
 class _TeacherSpill:
-    """One ladder block's teacher stream, spilled to an unnamed temporary file.
+    """One ladder block's teacher, its val top-1 and its stream, spilled to an unnamed file.
 
-    The first train given the spill records each batch's teacher outputs
-    (t_logits, entropy and weight, as raw float64); each later train replays
-    them, one batch at a time, and runs no teacher pass. The stream is a
-    function of the dataset, seeds.shuffle, batch_size, augment_strength,
-    epochs and the teacher: a replay for a run that differs in any of them is
-    refused, and so is a stream that ends early. The file lives in directory
-    (None: the system's temporary directory) without a name, so it is never
-    visible and a crash leaves nothing behind.
+    The first train given the spill runs the teacher phase and records each
+    batch's teacher outputs (t_logits, entropy and weight, as raw float64);
+    each later train gets the same teacher and val top-1 and replays the
+    outputs, one batch at a time, with no teacher pass. All three are a
+    function of the config apart from its mode and loss weights: a run that
+    differs elsewhere is refused, and so is a stream that ends early. The
+    file lives in directory (None: the system's temporary directory) without
+    a name, so it is never visible and a crash leaves nothing behind.
     """
 
     def __init__(self, directory=None):
         self.directory = directory
         self.file = None
-        self.fit = None  # what the recorded stream is a function of
+        self.fit = self.teacher = self.teacher_val = None  # fit: what all three are made for
 
-    def teach(self, teacher: Network, config: TrainConfig):
-        """The student phase's x -> (t_logits, stats): records if empty, else replays."""
-        import hashlib  # imported here, after the ladder's first batch, not at startup
-        import tempfile
+    def open(self, config: TrainConfig, ds: Dataset):
+        """The run's teacher phase, as _teacher_phase: records if empty, else replays."""
+        import tempfile  # imported here, when a ladder block needs it, not at startup
 
-        digest = hashlib.sha256()
-        for p in teacher.parameters:
-            digest.update(p.data)
-        fit = (config.dataset, config.seeds.shuffle, config.batch_size,
-               config.augment_strength, config.epochs, tuple(teacher.layers),
-               digest.hexdigest())
+        fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
+            self.teacher, self.teacher_val, teach = _teacher_phase(config, ds, None)
             self.fit, self.file = fit, tempfile.TemporaryFile(dir=self.directory)
-            write = self.file.write
+            write = self.file.writelines
 
             def record(x: Tensor):
-                t_logits, stats = taught = _teacher_stats(teacher, x)
-                write(t_logits.data)
-                write(stats.entropy)
-                write(stats.weight)
+                t_logits, stats = taught = teach(x)
+                write((t_logits.data, stats.entropy, stats.weight))
                 return taught
-            return record
+            return self.teacher, self.teacher_val, record
         if fit != self.fit:
-            raise SpecError("the spilled teacher stream was recorded for another dataset, "
-                            "batch order, augmentation, epoch count or teacher")
+            raise SpecError("the spilled teacher stream was recorded for a config that "
+                            "differs beyond its mode and loss weights")
         self.file.seek(0)
         read, classes = self.file.readinto, config.dataset.num_classes
 
@@ -297,7 +290,7 @@ class _TeacherSpill:
             # op output does, and both students' teacher terms share one softmax
             t_logits.rows = {}
             return t_logits, UncertaintyStats(entropy, weight)
-        return replay
+        return self.teacher, self.teacher_val, replay
 
     def close(self) -> None:
         if self.file is not None:
@@ -400,6 +393,15 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
 
+def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None):
+    """(frozen teacher, val top-1, x -> (t_logits, stats)); None pretrains the teacher."""
+    if teacher is None:
+        teacher, teacher_val = pretrain_teacher(config, ds)
+    else:
+        teacher_val = evaluate(teacher, ds, "val")["top1"]
+    return teacher, teacher_val, partial(_teacher_stats, teacher)
+
+
 @_QUIET_FP
 def evaluate(net: Network, ds: Dataset, split: str) -> dict[str, float]:
     """Top-1 and top-k accuracy (k = min(5, C)); ties go to the lowest class.
@@ -441,18 +443,19 @@ def _label_ranks(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 @_QUIET_FP
-def train(config: TrainConfig, out_dir=None, teacher: Network | None = None,
-          spill: _TeacherSpill | None = None) -> RunResult:
+def train(config: TrainConfig, out_dir=None,
+          teacher: Network | _TeacherSpill | None = None) -> RunResult:
     """Run one full training per the config; write metrics/checkpoints if out_dir.
 
-    A prebuilt frozen teacher may be passed to share pretraining across runs;
-    it must be byte-identical to what pretrain_teacher(config) would build,
-    which holds whenever data and teacher seeds (and teacher hypers) match.
-    Its frozen state and its layers are checked before anything is written.
-
-    The student phase takes each batch's teacher outputs from _teacher_stats,
-    or, given a spill, records them into it (an empty spill) or replays them
-    from it; a replayed run's files are byte-identical to a computed one's.
+    The teacher phase gives the run its frozen teacher, its val top-1 and
+    each batch's teacher outputs. teacher is None (pretrain here), a frozen
+    Network that shares pretraining across runs, or a ladder block's
+    _TeacherSpill. A Network must be byte-identical to what
+    pretrain_teacher(config) would build, which holds whenever data and
+    teacher seeds (and teacher hypers) match; its frozen state and its
+    layers are checked before anything is written. An empty spill records
+    the computed stream; a full one hands back its teacher and replays it,
+    and a replayed run's files are byte-identical to a computed one's.
 
     The run lives in memory, and each file in out_dir is written whole from
     it by _write_atomic: metrics.csv after every student epoch, so a killed
@@ -465,9 +468,9 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None,
     started = time.perf_counter()
     run_dir = Path(out_dir) if out_dir is not None else None
     ds = generate(config.dataset)
-    if teacher is not None and not teacher.frozen:
+    if isinstance(teacher, Network) and not teacher.frozen:
         raise SpecError("injected teacher must be frozen")
-    if teacher is not None and teacher.layers != config.teacher_spec:
+    if isinstance(teacher, Network) and teacher.layers != config.teacher_spec:
         raise SpecError("injected teacher's layers differ from config.teacher_spec")
     if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -485,13 +488,10 @@ def train(config: TrainConfig, out_dir=None, teacher: Network | None = None,
     best: dict[str, tuple[float, list[np.ndarray]]] = {"s1": (-1.0, []), "s2": (-1.0, [])}
     phase, epoch, batch = "teacher", None, None
     try:
-        if teacher is None:
-            teacher, teacher_val = pretrain_teacher(config, ds)
-        else:
-            teacher_val = evaluate(teacher, ds, "val")["top1"]
+        teacher, teacher_val, teach = (teacher.open(config, ds)
+                                       if isinstance(teacher, _TeacherSpill)
+                                       else _teacher_phase(config, ds, teacher))
         phase = "students"
-        teach = (partial(_teacher_stats, teacher) if spill is None
-                 else spill.teach(teacher, config))
         _write_metrics(run_dir, records)
         for epoch in range(config.epochs):
             lr = lr_at(config.eta0, config.epochs, epoch)
@@ -649,20 +649,19 @@ def _ablation_config(base: TrainConfig, mode: str, block: int) -> TrainConfig:
 
 
 def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, float]]:
-    """All four ladder rows for one seed block, on one teacher pass per batch.
+    """All four ladder rows for one seed block, on one teacher and one teacher pass per batch.
 
-    The hard_only row's train pretrains the teacher and records its per-batch
-    outputs in a spill in out_root; the later rows reuse the teacher and
-    replay the spill. The spill is closed, and so gone, however the block ends.
+    Every row's train takes the block's spill in out_root as its teacher: the
+    hard_only row's pretrains the teacher and records its per-batch outputs,
+    and the later rows get the same teacher and replay them. The spill is
+    closed, and so gone, however the block ends.
     """
-    teacher: Network | None = None
     finals: dict[str, dict[str, float]] = {}
     with closing(_TeacherSpill(out_root)) as spill:
         for mode in ABLATION_ROWS:
             run_dir = None if out_root is None else Path(out_root) / f"{mode}-block{block}"
-            result = train(_ablation_config(base, mode, block), run_dir, teacher, spill)
-            teacher = result.teacher
-            finals[mode] = {name: result.summary["students"][name]["final_val_top1"]
+            summary = train(_ablation_config(base, mode, block), run_dir, spill).summary
+            finals[mode] = {name: summary["students"][name]["final_val_top1"]
                             for name in ("s1", "s2")}
     return finals
 
@@ -678,8 +677,8 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     parallel processes, each on one BLAS thread so that the workers do not
     compete for the cores; results are merged in block order either way.
     """
-    if not seeds:
-        raise SpecError("ablate needs at least one seed block")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
     if out_root is not None:
