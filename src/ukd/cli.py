@@ -86,16 +86,14 @@ def _widths_from_spec(spec: list[LayerSpec]) -> list[int]:
     return widths
 
 
-def render_config(config: TrainConfig, out: str | None = None) -> str:
-    """Write a TrainConfig as a config file; parse_config inverts this exactly."""
+def render_config(config: TrainConfig) -> str:
+    """Write a TrainConfig as a config file; ``train --config`` reads it back exactly."""
     lines = []
     for section, part in (("run", config), ("dataset", config.dataset),
                           ("seeds", config.seeds)):
         # str of a python float is its shortest round-tripping repr
         lines += [f"[{section}]"] + [f"{key} = {getattr(part, key)}"
                                      for key in _FIELDS[section]]
-        if section == "run" and out is not None:
-            lines.append(f"out = {out}")
         lines.append("")
     lines.append("[architecture]")
     for key in _ARCH_KEYS:
@@ -164,12 +162,6 @@ def _build_config(given: dict[str, dict], block: int | None) -> TrainConfig:
     return TrainConfig(seeds=seeds, dataset=dataset, **given["run"], **specs)
 
 
-def parse_config(text: str) -> tuple[TrainConfig, str | None]:
-    """Config file -> (TrainConfig, output dir). Unknown keys are rejected."""
-    given, out = _read_config(text)
-    return _build_config(given, None), out
-
-
 # -------------------------------------------------------------- assembling
 
 
@@ -218,7 +210,6 @@ def cmd_gen_data(args) -> int:
     spec = DatasetSpec(**_given(args, "dataset"))
     ds = generate(spec)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(f"wrote {out}")
     print(f"samples: {ds.features.shape[0]}")

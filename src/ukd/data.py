@@ -212,9 +212,12 @@ def nearest_mean_classify(points: np.ndarray, means: np.ndarray) -> np.ndarray:
 def _write_atomic(path, blob: bytes) -> None:
     """Write blob to a temp file beside path, then rename it over path.
 
-    A failed write leaves neither a partial path nor the temp file behind.
+    path's directory is created if missing, so a directory appears with its
+    first file. A failed write leaves neither a partial path nor the temp
+    file behind.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:

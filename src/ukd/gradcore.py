@@ -1,13 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small define-by-run engine: every operation on linked tensors records a
-``Node`` (parent tensors + a rule mapping the output gradient to per-parent
-contributions) tagged with a global insertion number. ``backward`` gathers
-the nodes reachable from a scalar loss, keyed by that number, and replays
-each once in reverse insertion order, which is a valid topological order
-because parents are always recorded before children. Leaves are not walked;
-they only receive gradient. Graphs are rebuilt on every forward pass and
-never reused.
+A small define-by-run engine: the output of every operation on linked
+tensors is its own graph node. It records its op, its parent tensors, a rule
+mapping its gradient to per-parent contributions and a global insertion
+number (``Tensor``'s ``op``, ``parents``, ``grad_fn`` and ``seq``), so an op
+output is one object. ``backward`` gathers the linked tensors reachable
+from a scalar loss, keyed by that number, and replays each once in reverse
+insertion order, which is a valid topological order because parents are
+always recorded before children. Leaves are not walked; they only receive
+gradient. Graphs are rebuilt on every forward pass and never reused.
 
 Every operation checks its output for NaN/Inf and raises ``NumericError``
 instead of propagating non-finite values; no op changes numpy's error state.
@@ -75,41 +76,34 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Node:
-    """One recorded operation in a computation graph.
-
-    ``grad_fn(g)`` receives the gradient w.r.t. the op's output and returns
-    one contribution per parent (``None`` for parents that need none).
-    ``seq`` is the global insertion number; parents always carry smaller
-    numbers than their children.
-    """
-
-    __slots__ = ("op", "parents", "grad_fn", "seq")
-
-    def __init__(self, op: str, parents: tuple, grad_fn):
-        self.op = op
-        self.parents = parents
-        self.grad_fn = grad_fn
-        self.seq = next(_SEQ)
-
-
 class Tensor:
     """A dense float64 array with an optional gradient slot and graph link.
 
-    Leaves are created directly (``requires_grad=True`` for parameters);
-    results of operations carry a ``node`` linking them into the graph when
-    a parent takes a gradient, and a ``rows`` dict of row softmaxes by
-    temperature (``None`` on a leaf).
+    Leaves are created directly (``requires_grad=True`` for parameters).
+    The output of an op is its own graph node when a parent takes a
+    gradient: ``op`` names the op, ``parents`` holds its input tensors,
+    ``grad_fn(g)`` maps the gradient w.r.t. this output to one contribution
+    per parent (``None`` for a parent that takes none) and ``seq`` is its
+    global insertion number, smaller in every parent than in its children.
+    All four are ``None`` on a leaf and on an unlinked output. ``node`` is
+    kept for code that walks graphs: the tensor itself when linked, else
+    ``None``; it is computed, so no tensor refers to itself and a graph is
+    freed by reference counting. An op's output also carries a ``rows``
+    dict of row softmaxes by temperature (``None`` on a leaf).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node", "rows")
+    __slots__ = ("data", "requires_grad", "grad", "rows", "op", "parents", "grad_fn", "seq")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self.node = None
         self.rows = None
+        self.op = self.parents = self.grad_fn = self.seq = None
+
+    @property
+    def node(self):
+        return None if self.grad_fn is None else self
 
     @property
     def shape(self):
@@ -119,8 +113,8 @@ class Tensor:
         flags = []
         if self.requires_grad:
             flags.append("requires_grad")
-        if self.node is not None:
-            flags.append(f"op={self.node.op}")
+        if self.grad_fn is not None:
+            flags.append(f"op={self.op}")
         tail = ", ".join([f"shape={self.shape}"] + flags)
         return f"Tensor({tail})"
 
@@ -134,8 +128,8 @@ def _result(op: str, data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out.rows = {}
     if _GRAD_ENABLED:
         for p in parents:
-            if p.node is not None or p.requires_grad:
-                out.node = Node(op, parents, grad_fn)
+            if p.grad_fn is not None or p.requires_grad:
+                out.op, out.parents, out.grad_fn, out.seq = op, parents, grad_fn, next(_SEQ)
                 break
     return out
 
@@ -310,9 +304,9 @@ def dense(x: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         raise ShapeError(f"dense needs [m,k]@[k,n], got {xd.shape} @ {wd.shape}")
     if bd.shape != (wd.shape[1],):
         raise ShapeError(f"dense needs a [{wd.shape[1]}] bias, got {bd.shape}")
-    x_grad = x.node is not None or x.requires_grad
-    w_grad = w.node is not None or w.requires_grad
-    b_grad = b.node is not None or b.requires_grad
+    x_grad = x.grad_fn is not None or x.requires_grad
+    w_grad = w.grad_fn is not None or w.requires_grad
+    b_grad = b.grad_fn is not None or b.requires_grad
     out = xd @ wd
     out += bd
 
@@ -346,34 +340,34 @@ def backward(loss: Tensor) -> None:
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     seed = np.array(1.0)
-    if loss.node is None:
+    if loss.grad_fn is None:
         if loss.requires_grad:
             _accumulate(loss, seed)
         return
 
-    # Gather every node reachable from the loss, keyed by its insertion
-    # number, then replay their rules in reverse insertion order (children
-    # first). Leaves are never walked: they only receive contributions.
-    nodes = {loss.node.seq: loss.node}
-    stack = [loss.node]
+    # Gather every linked tensor reachable from the loss, keyed by its
+    # insertion number, then replay their rules in reverse insertion order
+    # (children first). Leaves are never walked: they only receive
+    # contributions.
+    nodes = {loss.seq: loss}
+    stack = [loss]
     while stack:
         for p in stack.pop().parents:
-            node = p.node
-            if node is not None and node.seq not in nodes:
-                nodes[node.seq] = node
-                stack.append(node)
+            if p.grad_fn is not None and p.seq not in nodes:
+                nodes[p.seq] = p
+                stack.append(p)
 
-    adjoint = {loss.node.seq: seed}
+    adjoint = {loss.seq: seed}
     for seq in sorted(nodes, reverse=True):
         g = adjoint.pop(seq, None)
         if g is None:
             continue
-        node = nodes[seq]
-        for p, c in zip(node.parents, node.grad_fn(g)):
+        t = nodes[seq]
+        for p, c in zip(t.parents, t.grad_fn(g)):
             if c is None:
                 continue
-            if p.node is not None:
-                pseq = p.node.seq
+            if p.grad_fn is not None:
+                pseq = p.seq
                 adjoint[pseq] = adjoint[pseq] + c if pseq in adjoint else c
             elif p.requires_grad:
                 _accumulate(p, c)

@@ -459,11 +459,13 @@ def train(config: TrainConfig, out_dir=None,
 
     The run lives in memory, and each file in out_dir is written whole from
     it by _write_atomic: metrics.csv after every student epoch, so a killed
-    run keeps exactly its finished epochs. A NumericError in the teacher
-    phase (pretraining, or an injected teacher's evaluation) or the student
-    phase leaves a summary.json with status "diverged", the phase, the epoch
-    and batch it stopped at (null where it stopped in an evaluation) and the
-    error; then it propagates.
+    run keeps exactly its finished epochs. out_dir appears with its first
+    file, the metrics header once the teacher phase is done, so a run
+    refused or killed before then leaves no directory. A NumericError in the
+    teacher phase (pretraining, or an injected teacher's evaluation) or the
+    student phase leaves a summary.json with status "diverged", the phase,
+    the epoch and batch it stopped at (null where it stopped in an
+    evaluation) and the error; then it propagates.
     """
     started = time.perf_counter()
     run_dir = Path(out_dir) if out_dir is not None else None
@@ -472,8 +474,6 @@ def train(config: TrainConfig, out_dir=None,
         raise SpecError("injected teacher must be frozen")
     if isinstance(teacher, Network) and teacher.layers != config.teacher_spec:
         raise SpecError("injected teacher's layers differ from config.teacher_spec")
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
     students = {
         "s1": build(config.student1_spec, config.seeds.student1),
         "s2": build(config.student2_spec, config.seeds.student2),

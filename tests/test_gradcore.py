@@ -1,5 +1,8 @@
 """Autodiff engine tests: frozen oracle values plus finite-difference checks."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from ukd.gradcore import (
     Tensor,
     add,
     backward,
+    dense,
     detach,
     exp,
     log_softmax,
@@ -338,6 +342,44 @@ def test_no_grad_suppresses_graph_recording():
     assert out.node is None
     backward(mean(out))  # graph-free: nothing flows back to x
     assert x.grad is None
+
+
+def test_a_linked_op_output_is_its_own_node():
+    x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    out = mul(x, x)
+    assert out.node is out
+    assert out.node.op == "mul" and out.node.parents == (x, x)
+    assert out.node.seq == out.seq
+    assert add(out, x).node.seq > out.node.seq  # parents are numbered before children
+    np.testing.assert_array_equal(out.node.grad_fn(np.ones((2, 2)))[0], x.data)
+    with no_grad():
+        silent = mul(x, x)
+    unlinked = mul(Tensor([1.0]), Tensor([2.0]))  # no parent takes a gradient
+    for t in (x, Tensor([1.0]), detach(out), silent, unlinked):
+        assert t.node is None
+
+
+def test_a_graph_is_freed_by_reference_counting_alone():
+    # an op output that referred to itself would be a reference cycle, and its
+    # graph would live on until the cyclic collector ran
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.normal(size=(6, 4)))
+    w1, b1 = Tensor(rng.normal(size=(4, 5)), True), Tensor(np.zeros(5), True)
+    w2, b2 = Tensor(rng.normal(size=(5, 3)), True), Tensor(np.zeros(3), True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        hidden = dense(x, w1, b1, True)
+        loss = mean(log_softmax(dense(hidden, w2, b2, False), 2.0))
+        backward(loss)
+        freed = weakref.ref(hidden.data)
+        del hidden
+        assert freed() is not None  # the loss still holds its graph
+        del loss
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_identical_inputs_produce_bit_identical_outputs():
