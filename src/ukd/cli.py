@@ -8,11 +8,11 @@ usage, config or OS errors and API misuse, 3 for a numeric abort
 with the flags given merged over them; each command takes only the flags it reads.
 
 The default output root is ./runs, overridable with UKD_RUN_ROOT.
-No command writes into a non-empty directory it did not just create,
-except explicit -o targets. A config that cannot run is refused when it is
-built (exit 2), and a flag value that cannot be used (--seeds 0, a bad
---compression pair) when it is parsed, before any directory is claimed or
-any work starts.
+No command writes into an existing non-empty directory, except explicit -o
+targets, and an output directory appears with its first file. A config that
+cannot run is refused when it is built (exit 2), and a flag value that
+cannot be used (--seeds 0, a bad --compression pair) when it is parsed,
+before any directory is claimed or any work starts.
 """
 
 from __future__ import annotations
@@ -196,10 +196,14 @@ def _run_root() -> Path:
 
 
 def _claim_dir(path) -> Path:
+    """path, if it is an empty directory or one that can be made; it is not made
+    here, but appears with its first file."""
     p = Path(path)
     if p.exists() and any(p.iterdir()):
         raise DataError(f"refusing to write into existing non-empty directory {p}")
-    p.mkdir(parents=True, exist_ok=True)
+    base = next(a for a in (p, *p.parents) if a.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise DataError(f"cannot make directory {p}: {base} is not a writable directory")
     return p
 
 

@@ -11,10 +11,13 @@ gamma=0 neither student's updates depend on the other student.
 
 A run gets its frozen teacher, the teacher's val top-1 and the per-batch
 teacher stream (each batch's teacher logits and uncertainty statistics)
-from _teacher_phase, and from nowhere else. The rows of one ladder block
-share the data, the teacher and seeds.shuffle, so the block's _TeacherSpill
-runs the teacher phase for the first row and records its stream; the later
-rows get the same teacher and replay the stream without running it.
+from _teacher_phase, and from nowhere else. A computed stream comes from a
+_TeacherProducer: a process forked once the teacher is frozen, which runs
+the teacher's forward passes beside the students' steps. The rows of one
+ladder block share the data, the teacher and seeds.shuffle, so the block's
+_TeacherSpill runs the teacher phase for the first row and records its
+stream; the later rows get the same teacher and replay the stream without
+running it, and fork nothing.
 
 Metrics CSVs must be byte-identical across repeated runs, so they hold no
 timing; the one wall-clock value is total_wall_seconds in the run summary.
@@ -25,12 +28,15 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+import os
 import struct
+import sys
 import time
+import traceback
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -224,20 +230,105 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _teacher_stats(teacher: Network, x: Tensor) -> tuple[Tensor, UncertaintyStats]:
-    """Frozen-teacher logits for the batch x, plus uncertainty statistics of its raw softmax.
+def _teacher_stats(t_logits: Tensor) -> tuple[Tensor, UncertaintyStats]:
+    """A batch's frozen-teacher logits, plus uncertainty statistics of their raw softmax.
 
-    pretrain_teacher froze the teacher or train checked it, once per run.
     log_softmax checks the teacher's log-probabilities are finite and keeps
     the row pair on t_logits, so row_softmax takes no second exp. A
-    NumericError is named "teacher forward diverged: ...".
+    NumericError is named "teacher forward diverged: ...", as one in the
+    teacher's forward pass is.
     """
     try:
-        t_logits = forward(teacher, x)
         log_softmax(t_logits, 1.0)
         return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
     except NumericError as err:
         raise NumericError(f"teacher forward diverged: {err}") from err
+
+
+# What the producer writes before each batch's logits, or before the message of
+# a NumericError in the teacher's forward pass that ends its stream.
+_LOGITS, _DIVERGED = b"\0", b"\1"
+
+
+class _TeacherProducer:
+    """One student phase's teacher stream, computed in a forked producer process.
+
+    The producer redraws the phase's batches exactly as train does and
+    writes each batch's frozen-teacher logits to a pipe as raw float64, so
+    the teacher's forward passes run beside the students' steps, on another
+    core. Called with a batch, it reads that batch's logits into a leaf and
+    returns _teacher_stats of it; record, when set, gets each batch's
+    (t_logits, stats). A NumericError in the producer's forward pass is
+    raised here at the same batch, as "teacher forward diverged: ...", and a
+    producer that ends before the run's batches is a ChildProcessError.
+    close() closes the pipe, so a producer still writing stops on EPIPE,
+    and reaps it.
+    """
+
+    def __init__(self, teacher: Network, ds: Dataset, config: TrainConfig):
+        read_end, write_end = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            _produce(teacher, ds, config, read_end, write_end)
+        os.close(write_end)
+        self.pipe, self.classes = open(read_end, "rb"), config.dataset.num_classes
+        self.record, self.status = None, None
+
+    def __call__(self, x: Tensor) -> tuple[Tensor, UncertaintyStats]:
+        head = self.pipe.read(1)
+        if head == _DIVERGED:
+            raise NumericError(f"teacher forward diverged: {self.pipe.read().decode()}")
+        logits = np.empty((x.data.shape[0], self.classes))
+        if head != _LOGITS or self.pipe.readinto(logits) != logits.nbytes:
+            code = os.waitstatus_to_exitcode(self.close())
+            raise ChildProcessError("the teacher producer ended before this run's batches "
+                                    f"(exit code {code})")
+        t_logits = Tensor(logits)
+        # nothing writes into logits, so the leaf may keep its τ pair as an
+        # op output does, and both students' teacher terms share one softmax
+        t_logits.rows = {}
+        taught = _teacher_stats(t_logits)
+        if self.record is not None:
+            self.record(*taught)
+        return taught
+
+    def close(self) -> int:
+        """Close the pipe and reap the producer; returns its wait status."""
+        if self.status is None:
+            self.pipe.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+
+def _produce(teacher: Network, ds: Dataset, config: TrainConfig, read_end: int,
+             write_end: int) -> NoReturn:
+    """The producer process's whole life; it never returns into the caller's code.
+
+    It runs BLAS on one thread, so that it and the main process each keep
+    a core. A NumericError in the forward pass ends the stream with its
+    message. The main process closing the pipe (EPIPE) or an interrupt
+    (SIGINT) ends it silently; anything else prints its traceback and exits 1.
+    """
+    code = 1
+    try:
+        os.close(read_end)
+        _one_blas_thread()
+        with open(write_end, "wb") as pipe:
+            try:
+                for epoch in range(config.epochs):
+                    for x, _ in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
+                        pipe.writelines((_LOGITS, forward(teacher, Tensor(x)).data))
+                        pipe.flush()
+            except NumericError as err:
+                pipe.write(_DIVERGED + str(err).encode())
+        code = 0
+    except (BrokenPipeError, KeyboardInterrupt):
+        code = 0
+    except Exception:  # the boundary of the process: report, never propagate
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 class _TeacherSpill:
@@ -264,15 +355,15 @@ class _TeacherSpill:
 
         fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
-            self.teacher, self.teacher_val, teach = _teacher_phase(config, ds, None)
-            self.fit, self.file = fit, tempfile.TemporaryFile(dir=self.directory)
-            write = self.file.writelines
+            # opened first, so that an OSError here strands no forked producer
+            self.file = tempfile.TemporaryFile(dir=self.directory)
+            self.teacher, self.teacher_val, produce = _teacher_phase(config, ds, None)
+            self.fit, write = fit, self.file.writelines
 
-            def record(x: Tensor):
-                t_logits, stats = taught = teach(x)
+            def record(t_logits: Tensor, stats: UncertaintyStats):
                 write((t_logits.data, stats.entropy, stats.weight))
-                return taught
-            return self.teacher, self.teacher_val, record
+            produce.record = record
+            return self.teacher, self.teacher_val, produce
         if fit != self.fit:
             raise SpecError("the spilled teacher stream was recorded for a config that "
                             "differs beyond its mode and loss weights")
@@ -394,12 +485,15 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
 
 
 def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None):
-    """(frozen teacher, val top-1, x -> (t_logits, stats)); None pretrains the teacher."""
+    """(frozen teacher, val top-1, its _TeacherProducer); None pretrains the teacher.
+
+    The producer forks once the teacher is frozen and evaluated.
+    """
     if teacher is None:
         teacher, teacher_val = pretrain_teacher(config, ds)
     else:
         teacher_val = evaluate(teacher, ds, "val")["top1"]
-    return teacher, teacher_val, partial(_teacher_stats, teacher)
+    return teacher, teacher_val, _TeacherProducer(teacher, ds, config)
 
 
 @_QUIET_FP
@@ -455,7 +549,9 @@ def train(config: TrainConfig, out_dir=None,
     teacher seeds (and teacher hypers) match; its frozen state and its
     layers are checked before anything is written. An empty spill records
     the computed stream; a full one hands back its teacher and replays it,
-    and a replayed run's files are byte-identical to a computed one's.
+    and a replayed run's files are byte-identical to a computed one's. A
+    computed stream's producer process is reaped before train returns or
+    raises, however the run ends.
 
     The run lives in memory, and each file in out_dir is written whole from
     it by _write_atomic: metrics.csv after every student epoch, so a killed
@@ -486,7 +582,7 @@ def train(config: TrainConfig, out_dir=None,
     records: list[MetricsRecord] = []
     breakdowns: dict[str, list[LossBreakdown]] = {"s1": [], "s2": []}
     best: dict[str, tuple[float, list[np.ndarray]]] = {"s1": (-1.0, []), "s2": (-1.0, [])}
-    phase, epoch, batch = "teacher", None, None
+    phase, epoch, batch, teach = "teacher", None, None, None
     try:
         teacher, teacher_val, teach = (teacher.open(config, ds)
                                        if isinstance(teacher, _TeacherSpill)
@@ -534,6 +630,9 @@ def train(config: TrainConfig, out_dir=None,
         if run_dir is not None:
             _write_diverged(run_dir, config, phase, err, epoch, batch)
         raise
+    finally:
+        if isinstance(teach, _TeacherProducer):
+            teach.close()
 
     summary = _summarize(config, teacher, teacher_val, students, records, best,
                          time.perf_counter() - started)

@@ -43,15 +43,17 @@ def _reachable_nodes(loss) -> int:
 def _dual_step():
     """One batch of a default dual-mode train on fresh networks, as a no-argument call.
 
-    It does what train does per computed batch: wrap the batch in one Tensor,
-    take the teacher statistics from _teacher_stats, and run train_step_dual.
+    It does in one process what train and its teacher producer do per
+    computed batch: wrap the batch in one Tensor, run the frozen teacher on
+    it, take the statistics of its logits from _teacher_stats, and run
+    train_step_dual.
     _dual_step_calls leaves out the frame of this plumbing function itself.
     """
     import numpy as np
 
     from ukd import harness
     from ukd.gradcore import Tensor
-    from ukd.nets import build
+    from ukd.nets import build, forward
     from ukd.optim import SgdState
 
     config = harness.TrainConfig(mode="dual")
@@ -64,7 +66,7 @@ def _dual_step():
 
     def step():
         xt = Tensor(x)
-        return harness.train_step_dual(harness._teacher_stats(teacher, xt), *students,
+        return harness.train_step_dual(harness._teacher_stats(forward(teacher, xt)), *students,
                                        (xt, y), config, *opts)
     return step
 

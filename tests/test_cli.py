@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ukd import harness
 from ukd.cli import _assemble_config, build_parser, main, render_config
 from ukd.data import DatasetSpec, generate, load_dataset
 from ukd.distill import KL_DIRECTIONS
@@ -331,6 +332,27 @@ def test_train_refuses_occupied_directory(tmp_path, capsys):
     assert rc == 2
     assert "non-empty" in capsys.readouterr().err
     assert (target / "keep.txt").read_text() == "precious"
+
+
+def test_train_interrupted_in_pretraining_leaves_no_run_directory(tmp_path, monkeypatch):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "pretrain_teacher", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--mode", "dual", "--out", str(tmp_path / "run")] + TINY)
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_an_out_dir_it_cannot_make_before_any_work(tmp_path, monkeypatch, capsys):
+    def pretrain(*args):
+        raise AssertionError("the teacher was pretrained for a run with nowhere to go")
+
+    monkeypatch.setattr(harness, "pretrain_teacher", pretrain)
+    (tmp_path / "afile").write_text("")
+    rc = main(["train", "--mode", "dual", "--out", str(tmp_path / "afile" / "run")] + TINY)
+    assert rc == 2
+    assert "is not a writable directory" in capsys.readouterr().err
 
 
 def test_train_from_config_file(tmp_path, capsys):

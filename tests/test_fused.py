@@ -44,7 +44,7 @@ from ukd.gradcore import (
     tensor_sum,
 )
 from ukd.harness import TrainConfig, _label_ranks, _teacher_stats, train_step_dual
-from ukd.nets import LayerSpec, Network
+from ukd.nets import LayerSpec, Network, forward
 from ukd.optim import SgdState
 
 # ---------------------------------------------------------------- reference chains
@@ -347,7 +347,7 @@ def test_non_finite_intermediate_in_a_term_is_named(term, direction):
     gamma, named = (0.2, "s1") if term == "peer" else (0.0, "s2")
     config = TrainConfig(mode="dual", gamma=gamma, tau=0.5, kl_direction=direction)
     with pytest.raises(NumericError, match=f"^{named} {term} loss term diverged: "):
-        train_step_dual(_teacher_stats(teacher, x), s1, s2, (x, np.array([0, 1])), config,
+        train_step_dual(_teacher_stats(forward(teacher, x)), s1, s2, (x, np.array([0, 1])), config,
                         SgdState(s1.parameters, 0.1, 0.0, 0.0),
                         SgdState(s2.parameters, 0.1, 0.0, 0.0))
 

@@ -9,10 +9,12 @@ import errno
 import hashlib
 import json
 import math
+import os
 import pickle
+import signal
 import struct
 import tempfile
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ukd import harness
+from ukd import gradcore, harness
 from ukd.data import Dataset, DatasetSpec, batches, generate, save_dataset
 from ukd.errors import DataError, FormatError, NumericError, SpecError
 from ukd.gradcore import Tensor, backward, zero_grad
@@ -70,9 +72,10 @@ def clone_net(net):
 
 
 def dual_step(teacher, s1, s2, batch, cfg, opt1, opt2):
-    """What train does per computed batch: teacher statistics, then the dual step."""
+    """What train and its producer do per computed batch: teacher logits and
+    statistics, then the dual step."""
     x = Tensor(batch[0])
-    return train_step_dual(harness._teacher_stats(teacher, x), s1, s2, (x, batch[1]), cfg,
+    return train_step_dual(harness._teacher_stats(forward(teacher, x)), s1, s2, (x, batch[1]), cfg,
                            opt1, opt2)
 
 
@@ -948,17 +951,35 @@ def _run_files(run_dir):
     return files, summary
 
 
+def _on_teacher_pass(act):
+    """harness.forward, calling act() first on each teacher pass: a forward of the
+    frozen teacher outside evaluate's no_grad, in whichever process runs it."""
+    real_forward = harness.forward
+
+    def forward_(net, x):
+        if net.frozen and gradcore._GRAD_ENABLED:
+            act()
+        return real_forward(net, x)
+    return forward_
+
+
 def test_ladder_rows_replaying_the_teacher_stream_equal_plain_runs(tmp_path, monkeypatch):
     base = small_config("dual", epochs=2, teacher_epochs=2)
-    passes = []
-    real_stats = harness._teacher_stats
-    monkeypatch.setattr(harness, "_teacher_stats",
-                        lambda teacher, x: passes.append(1) or real_stats(teacher, x))
+    log = tmp_path / "passes"
+
+    def count():  # a producer process runs the passes, so each appends a line to a file
+        with open(log, "a") as fh:
+            fh.write(".\n")
+
+    def passes():
+        return log.read_text().splitlines() if log.exists() else []
+
+    monkeypatch.setattr(harness, "forward", _on_teacher_pass(count))
     ablate(base, [1], out_root=tmp_path / "abl")
     # the teacher runs for the hard_only row's batches only; the spill is never visible
     per_row = base.epochs * math.ceil(len(generate(replace(SMALL_DATA, seed=1000))
                                           .train_indices) / base.batch_size)
-    assert len(passes) == per_row
+    assert len(passes()) == per_row
     assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == sorted(
         ["ablation.csv", "ablation.txt"] + [f"{mode}-block1" for mode in ABLATION_ROWS])
     teacher = None
@@ -966,7 +987,7 @@ def test_ladder_rows_replaying_the_teacher_stream_equal_plain_runs(tmp_path, mon
         solo = train(harness._ablation_config(base, mode, 1), tmp_path / mode, teacher=teacher)
         teacher = solo.teacher
         assert _run_files(tmp_path / "abl" / f"{mode}-block1") == _run_files(tmp_path / mode)
-    assert len(passes) == 5 * per_row  # each plain run computes the stream itself
+    assert len(passes()) == 5 * per_row  # each plain run computes the stream itself
 
 
 def _spying_on_spills(monkeypatch):
@@ -1017,6 +1038,116 @@ def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeyp
     assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == sorted(
         ablation_files + [f"{mode}-block0" for mode in rows_left])
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+class _InProcessStream:
+    """The teacher stream computed in the calling process, as train computed it
+    before it had a producer: the reference the producer is compared with."""
+
+    def __init__(self, teacher, ds, config):
+        self.teacher, self.record = teacher, None
+
+    def __call__(self, x):
+        try:
+            t_logits = harness.forward(self.teacher, x)
+        except NumericError as err:
+            raise NumericError(f"teacher forward diverged: {err}") from err
+        taught = harness._teacher_stats(t_logits)
+        if self.record is not None:
+            self.record(*taught)
+        return taught
+
+    def close(self):
+        pass
+
+
+def _teacher_pass_fails(at, fail):
+    """harness.forward, calling fail() in place of the at-th teacher pass (from 1)."""
+    passes = []
+
+    def count():
+        passes.append(1)
+        if len(passes) == at:
+            fail()
+    return _on_teacher_pass(count)
+
+
+def _run_bytes(run_dir):
+    """Every file of a run directory, a finished run's summary.json as _run_files reads it."""
+    files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+    if "student_s1_final.ukdc" in files:
+        files["summary.json"] = _run_files(run_dir)[1]
+    return files
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _diverge():
+    raise NumericError("dense produced non-finite values")
+
+
+@pytest.mark.parametrize("ending", ["finished", "student diverged", "interrupted",
+                                    "producer diverged"])
+def test_the_producer_is_reaped_however_a_run_ends(tmp_path, monkeypatch, ending):
+    opened = _spying_on_spills(monkeypatch)
+    base = small_config("dual", epochs=2, teacher_epochs=2)
+    real_step, steps = harness.train_step_dual, []
+
+    def step(*args):
+        steps.append(1)
+        if len(steps) == 3 and ending == "student diverged":
+            raise NumericError("s1 forward diverged: dense produced non-finite values")
+        if len(steps) == 3 and ending == "interrupted":
+            raise KeyboardInterrupt  # mid-epoch: the hard_only row has 5 batches per epoch
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "train_step_dual", step)
+    if ending == "producer diverged":  # the second epoch's second batch
+        monkeypatch.setattr(harness, "forward", _teacher_pass_fails(7, _diverge))
+    raises = {"finished": None, "interrupted": KeyboardInterrupt}.get(ending, NumericError)
+    runs = {}
+    for name in ("producer", "in-process"):
+        if name == "in-process":
+            monkeypatch.setattr(harness, "_TeacherProducer", _InProcessStream)
+        steps.clear()
+        with pytest.raises(raises) if raises else nullcontext():
+            ablate(base, [0], out_root=tmp_path / name)
+        _no_child_is_left()
+        assert opened[-1][1].closed
+        runs[name] = {d.name: _run_bytes(d) for d in sorted((tmp_path / name).glob("*-block0"))}
+    rows = ABLATION_ROWS if ending == "finished" else ["hard_only"]
+    assert sorted(runs["producer"]) == sorted(f"{mode}-block0" for mode in rows)
+    assert runs["producer"] == runs["in-process"]
+    if ending == "producer diverged":
+        summary = tmp_path / "producer" / "hard_only-block0" / "summary.json"
+        reference = tmp_path / "in-process" / "hard_only-block0" / "summary.json"
+        assert summary.read_bytes() == reference.read_bytes()
+        diverged = json.loads(summary.read_text())
+        assert (diverged["phase"], diverged["epoch"], diverged["batch"], diverged["error"]) == (
+            "students", 1, 1, "teacher forward diverged: dense produced non-finite values")
+
+
+@pytest.mark.parametrize("stop,code", [(lambda: os._exit(9), 9),
+                                       (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+                         ids=["exits", "killed"])
+def test_a_producer_that_stops_early_is_an_error(monkeypatch, stop, code):
+    monkeypatch.setattr(harness, "forward", _teacher_pass_fails(3, stop))
+
+    def hung(signum, frame):
+        raise TimeoutError("train waited 60 s for a stopped producer")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ChildProcessError, match=rf"ended before .* \(exit code {code}\)"):
+            train(small_config("dual", epochs=2, teacher_epochs=2), None)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _no_child_is_left()
 
 
 def test_a_replay_refuses_a_stream_that_does_not_fit(tmp_path):
