@@ -448,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
                    if ("run", key) not in _ROW_KEYS and key != "seed_block"])
     p.add_argument("--seeds", type=_at_least_one, default=5,
                    help="number of seed blocks, 0..k-1 (default: %(default)s)")
-    p.add_argument("--jobs", type=_at_least_one, default=1,
+    p.add_argument("--jobs", type=_at_least_one,
                    help="parallel runs across seed blocks, each worker on one BLAS "
-                        "thread (default: %(default)s)")
+                        "thread (default: usable cores)")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")

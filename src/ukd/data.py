@@ -262,4 +262,7 @@ def load_dataset(path, val_fraction: float = 0.1) -> Dataset:
         raise FormatError(f"label out of range [0, {num_classes}) at offset 20")
     features = np.frombuffer(blob, "<f8", count=n * dim, offset=labels_end).reshape(n, dim).copy()
     del blob  # features and labels own their bytes: free the file's before the split
+    finite = np.isfinite(features)
+    if not finite.all():  # the split's statistics would turn NaN, not fail
+        raise FormatError(f"non-finite feature at offset {labels_end + 8 * int(finite.argmin())}")
     return _assemble(features, labels, num_classes, val_fraction)

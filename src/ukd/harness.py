@@ -9,15 +9,15 @@ else, which is what makes the mode-reduction equivalences hold bit for bit:
 every ladder row is the dual step with some loss weights at zero, and with
 gamma=0 neither student's updates depend on the other student.
 
-A run gets its frozen teacher, the teacher's val top-1 and the per-batch
-teacher stream (each batch's teacher logits and uncertainty statistics)
-from _teacher_phase, and from nowhere else. A computed stream comes from a
-_TeacherProducer: a process forked once the teacher is frozen, which runs
-the teacher's forward passes beside the students' steps. The rows of one
-ladder block share the data, the teacher and seeds.shuffle, so the block's
-_TeacherSpill runs the teacher phase for the first row and records its
-stream; the later rows get the same teacher and replay the stream without
-running it, and fork nothing.
+A run gets its frozen teacher, the teacher's val top-1 and its teacher
+stream from _teacher_phase, and from nowhere else. The stream, each batch
+with its teacher logits, is the student phase's only source of batches. A
+computed one comes from a producer process forked once the teacher is
+frozen, which alone draws the batches and runs the teacher beside the
+students' steps. The rows of one ladder block share the data, the teacher
+and seeds.shuffle, so the block's _TeacherSpill runs the teacher phase for
+the first row and copies its stream; the later rows get the same teacher
+and read the copy, with no batch drawn, no teacher pass and no fork.
 
 Metrics CSVs must be byte-identical across repeated runs, so they hold no
 timing; the one wall-clock value is total_wall_seconds in the run summary.
@@ -26,6 +26,7 @@ timing; the one wall-clock value is total_wall_seconds in the run summary.
 from __future__ import annotations
 
 import ctypes
+import fcntl
 import json
 import math
 import os
@@ -33,10 +34,9 @@ import struct
 import sys
 import time
 import traceback
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -245,143 +245,138 @@ def _teacher_stats(t_logits: Tensor) -> tuple[Tensor, UncertaintyStats]:
         raise NumericError(f"teacher forward diverged: {err}") from err
 
 
-# What the producer writes before each batch's logits, or before the message of
+# What the producer writes before each batch's frame, or before the message of
 # a NumericError in the teacher's forward pass that ends its stream.
-_LOGITS, _DIVERGED = b"\0", b"\1"
+_FRAME, _DIVERGED = b"\0", b"\1"
 
 
-class _TeacherProducer:
-    """One student phase's teacher stream, computed in a forked producer process.
+class _TeacherStream:
+    """One student phase's batches, each with its frozen teacher's logits, read from file.
 
-    The producer redraws the phase's batches exactly as train does and
-    writes each batch's frozen-teacher logits to a pipe as raw float64, so
-    the teacher's forward passes run beside the students' steps, on another
-    core. Called with a batch, it reads that batch's logits into a leaf and
-    returns _teacher_stats of it; record, when set, gets each batch's
-    (t_logits, stats). A NumericError in the producer's forward pass is
-    raised here at the same batch, as "teacher forward diverged: ...", and a
-    producer that ends before the run's batches is a ChildProcessError.
-    close() closes the pipe, so a producer still writing stops on EPIPE,
-    and reaps it.
+    Each frame is a status byte, then the augmented x (float64), y (int64)
+    and the teacher's logits on x (float64), raw. A computed stream reads
+    the pipe of the producer process pid, which alone draws the phase's
+    batches; a replayed one reads a ladder block's spill. Called with a
+    batch's row count, it returns (x, y, t_logits), with x and t_logits as
+    leaves; copy, when set, gets each frame unchanged. A NumericError in the
+    producer's forward pass is raised here at the same batch, as "teacher
+    forward diverged: ...". A stream that ends before the run's batches is a
+    ChildProcessError from a producer and a DataError from a spill. close()
+    closes a producer's pipe, so a producer still writing stops on EPIPE,
+    and reaps it; a spill stays open for the block's next row.
     """
 
-    def __init__(self, teacher: Network, ds: Dataset, config: TrainConfig):
-        read_end, write_end = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            _produce(teacher, ds, config, read_end, write_end)
-        os.close(write_end)
-        self.pipe, self.classes = open(read_end, "rb"), config.dataset.num_classes
-        self.record, self.status = None, None
+    def __init__(self, file, config: TrainConfig, pid: int | None = None):
+        self.file, self.pid, self.copy, self.status = file, pid, None, None
+        self.dim, self.classes = config.dataset.feature_dim, config.dataset.num_classes
 
-    def __call__(self, x: Tensor) -> tuple[Tensor, UncertaintyStats]:
-        head = self.pipe.read(1)
+    def __call__(self, n: int) -> tuple[Tensor, np.ndarray, Tensor]:
+        head = self.file.read(1)
         if head == _DIVERGED:
-            raise NumericError(f"teacher forward diverged: {self.pipe.read().decode()}")
-        logits = np.empty((x.data.shape[0], self.classes))
-        if head != _LOGITS or self.pipe.readinto(logits) != logits.nbytes:
-            code = os.waitstatus_to_exitcode(self.close())
+            raise NumericError(f"teacher forward diverged: {self.file.read().decode()}")
+        frame = np.empty((n, self.dim)), np.empty(n, np.int64), np.empty((n, self.classes))
+        if head != _FRAME or any(self.file.readinto(a) != a.nbytes for a in frame):
+            if self.pid is None:
+                raise DataError("the spilled teacher stream ends before this run's batches")
             raise ChildProcessError("the teacher producer ended before this run's batches "
-                                    f"(exit code {code})")
+                                    f"(exit code {os.waitstatus_to_exitcode(self.close())})")
+        if self.copy is not None:
+            self.copy((head, *frame))
+        x, y, logits = frame
         t_logits = Tensor(logits)
         # nothing writes into logits, so the leaf may keep its τ pair as an
         # op output does, and both students' teacher terms share one softmax
         t_logits.rows = {}
-        taught = _teacher_stats(t_logits)
-        if self.record is not None:
-            self.record(*taught)
-        return taught
+        return Tensor(x), y, t_logits
 
-    def close(self) -> int:
-        """Close the pipe and reap the producer; returns its wait status."""
-        if self.status is None:
-            self.pipe.close()
+    def close(self) -> int | None:
+        """Close a producer's pipe and reap it; returns its wait status (None: a spill)."""
+        if self.pid is not None and self.status is None:
+            self.file.close()
             self.status = os.waitpid(self.pid, 0)[1]
         return self.status
 
 
-def _produce(teacher: Network, ds: Dataset, config: TrainConfig, read_end: int,
-             write_end: int) -> NoReturn:
-    """The producer process's whole life; it never returns into the caller's code.
-
-    It runs BLAS on one thread, so that it and the main process each keep
-    a core. A NumericError in the forward pass ends the stream with its
-    message. The main process closing the pipe (EPIPE) or an interrupt
-    (SIGINT) ends it silently; anything else prints its traceback and exits 1.
-    """
-    code = 1
+def _produce(teacher: Network, ds: Dataset, config: TrainConfig, out) -> None:
+    """Write the student phase's frames to out; a NumericError in a forward pass
+    ends the stream with its message."""
     try:
-        os.close(read_end)
-        _one_blas_thread()
-        with open(write_end, "wb") as pipe:
-            try:
-                for epoch in range(config.epochs):
-                    for x, _ in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
-                        pipe.writelines((_LOGITS, forward(teacher, Tensor(x)).data))
-                        pipe.flush()
-            except NumericError as err:
-                pipe.write(_DIVERGED + str(err).encode())
-        code = 0
-    except (BrokenPipeError, KeyboardInterrupt):
-        code = 0
-    except Exception:  # the boundary of the process: report, never propagate
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+        for epoch in range(config.epochs):
+            for x, y in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
+                out.writelines((_FRAME, x, y, forward(teacher, Tensor(x)).data))
+                out.flush()
+    except NumericError as err:
+        out.write(_DIVERGED + str(err).encode())
+
+
+def _fork_producer(teacher: Network, ds: Dataset, config: TrainConfig) -> _TeacherStream:
+    """The student phase's _TeacherStream, from a producer process forked now.
+
+    The producer runs BLAS on one thread, so that it and the main process
+    each keep a core, and never returns into the caller's code. The main
+    process closing the pipe (EPIPE) or an interrupt (SIGINT) ends it
+    silently; anything else prints its traceback and exits 1. The pipe's
+    buffer is 1 MiB (a 512-row, 64-dim x is 256 KiB) where the system has
+    F_SETPIPE_SZ and allows it; elsewhere the bytes are the same, and wide
+    batches slower.
+    """
+    read_end, write_end = os.pipe()
+    with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or refused
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            _one_blas_thread()
+            with open(write_end, "wb") as pipe:
+                _produce(teacher, ds, config, pipe)
+            code = 0
+        except (BrokenPipeError, KeyboardInterrupt):
+            code = 0
+        except Exception:  # the boundary of the process: report, never propagate
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return _TeacherStream(open(read_end, "rb"), config, pid)
 
 
 class _TeacherSpill:
     """One ladder block's teacher, its val top-1 and its stream, spilled to an unnamed file.
 
-    The first train given the spill runs the teacher phase and records each
-    batch's teacher outputs (t_logits, entropy and weight, as raw float64);
-    each later train gets the same teacher and val top-1 and replays the
-    outputs, one batch at a time, with no teacher pass. All three are a
-    function of the config apart from its mode and loss weights: a run that
-    differs elsewhere is refused, and so is a stream that ends early. The
-    file lives in directory (None: the system's temporary directory) without
-    a name, so it is never visible and a crash leaves nothing behind.
+    The first train given the spill runs the teacher phase, and its stream
+    copies every frame it reads into the file unchanged; each later train
+    gets the same teacher and val top-1 and reads the file with a
+    _TeacherStream of its own, with no batch drawn and no teacher pass. All
+    three are a function of the config apart from its mode and loss weights:
+    a run that differs elsewhere is refused, and so is a stream that ends
+    early. The file lives in directory (None: the system's temporary
+    directory) without a name, so it is never visible and a crash leaves
+    nothing behind.
     """
 
     def __init__(self, directory=None):
-        self.directory = directory
-        self.file = None
+        self.directory, self.file = directory, None
         self.fit = self.teacher = self.teacher_val = None  # fit: what all three are made for
 
     def open(self, config: TrainConfig, ds: Dataset):
-        """The run's teacher phase, as _teacher_phase: records if empty, else replays."""
+        """The run's teacher phase, as _teacher_phase: copies its stream if empty, else replays."""
         import tempfile  # imported here, when a ladder block needs it, not at startup
 
         fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
             # opened first, so that an OSError here strands no forked producer
             self.file = tempfile.TemporaryFile(dir=self.directory)
-            self.teacher, self.teacher_val, produce = _teacher_phase(config, ds, None)
-            self.fit, write = fit, self.file.writelines
-
-            def record(t_logits: Tensor, stats: UncertaintyStats):
-                write((t_logits.data, stats.entropy, stats.weight))
-            produce.record = record
-            return self.teacher, self.teacher_val, produce
+            self.teacher, self.teacher_val, stream = _teacher_phase(config, ds, None)
+            self.fit, stream.copy = fit, self.file.writelines
+            return self.teacher, self.teacher_val, stream
         if fit != self.fit:
             raise SpecError("the spilled teacher stream was recorded for a config that "
                             "differs beyond its mode and loss weights")
         self.file.seek(0)
-        read, classes = self.file.readinto, config.dataset.num_classes
-
-        def replay(x: Tensor):
-            n = x.data.shape[0]
-            logits, entropy, weight = np.empty((n, classes)), np.empty(n), np.empty(n)
-            for a in (logits, entropy, weight):
-                if read(a) != a.nbytes:
-                    raise DataError("the spilled teacher stream ends before this run's batches")
-            t_logits = Tensor(logits)
-            # nothing writes into logits, so the leaf may keep its τ pair as an
-            # op output does, and both students' teacher terms share one softmax
-            t_logits.rows = {}
-            return t_logits, UncertaintyStats(entropy, weight)
-        return self.teacher, self.teacher_val, replay
+        return self.teacher, self.teacher_val, _TeacherStream(self.file, config)
 
     def close(self) -> None:
         if self.file is not None:
@@ -412,13 +407,13 @@ def train_step_dual(taught: tuple[Tensor, UncertaintyStats], s1: Network, s2: Ne
                     ) -> tuple[LossBreakdown, LossBreakdown, UncertaintyStats]:
     """The dual step: both students see one batch, build their losses, then update.
 
-    taught holds the batch's teacher outputs (t_logits, stats), computed by
-    _teacher_stats or replayed, and batch is (x, y) with x the Tensor the
-    teacher saw; no forward writes into it. s1's and s2's forwards; each
-    student's terms of nonzero weight and their sum, s1 first; then s1
-    updates, then s2. Each treats the other's logits as a fixed
-    (gradient-stopped) target, so neither update leaks into the other. A
-    NumericError names its stage: "s2 peer loss term".
+    taught holds the batch's teacher outputs (t_logits, stats) from
+    _teacher_stats, and batch is (x, y) with x the Tensor the teacher saw;
+    no forward writes into it. s1's and s2's forwards; each student's terms
+    of nonzero weight and their sum, s1 first; then s1 updates, then s2.
+    Each treats the other's logits as a fixed (gradient-stopped) target, so
+    neither update leaks into the other. A NumericError names its stage:
+    "s2 peer loss term".
     """
     x, y = batch
     if x.data.shape[0] == 0:
@@ -485,7 +480,7 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
 
 
 def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None):
-    """(frozen teacher, val top-1, its _TeacherProducer); None pretrains the teacher.
+    """(frozen teacher, val top-1, its _TeacherStream); None pretrains the teacher.
 
     The producer forks once the teacher is frozen and evaluated.
     """
@@ -493,7 +488,7 @@ def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None):
         teacher, teacher_val = pretrain_teacher(config, ds)
     else:
         teacher_val = evaluate(teacher, ds, "val")["top1"]
-    return teacher, teacher_val, _TeacherProducer(teacher, ds, config)
+    return teacher, teacher_val, _fork_producer(teacher, ds, config)
 
 
 @_QUIET_FP
@@ -542,12 +537,13 @@ def train(config: TrainConfig, out_dir=None,
     """Run one full training per the config; write metrics/checkpoints if out_dir.
 
     The teacher phase gives the run its frozen teacher, its val top-1 and
-    each batch's teacher outputs. teacher is None (pretrain here), a frozen
-    Network that shares pretraining across runs, or a ladder block's
+    its stream of batches with their teacher logits; train computes every
+    batch's teacher statistics itself. teacher is None (pretrain here), a
+    frozen Network that shares pretraining across runs, or a ladder block's
     _TeacherSpill. A Network must be byte-identical to what
     pretrain_teacher(config) would build, which holds whenever data and
     teacher seeds (and teacher hypers) match; its frozen state and its
-    layers are checked before anything is written. An empty spill records
+    layers are checked before anything is written. An empty spill copies
     the computed stream; a full one hands back its teacher and replays it,
     and a replayed run's files are byte-identical to a computed one's. A
     computed stream's producer process is reaped before train returns or
@@ -583,6 +579,7 @@ def train(config: TrainConfig, out_dir=None,
     breakdowns: dict[str, list[LossBreakdown]] = {"s1": [], "s2": []}
     best: dict[str, tuple[float, list[np.ndarray]]] = {"s1": (-1.0, []), "s2": (-1.0, [])}
     phase, epoch, batch, teach = "teacher", None, None, None
+    n_train, size = ds.train_indices.size, config.batch_size
     try:
         teacher, teacher_val, teach = (teacher.open(config, ds)
                                        if isinstance(teacher, _TeacherSpill)
@@ -594,33 +591,30 @@ def train(config: TrainConfig, out_dir=None,
             opts["s1"].lr = opts["s2"].lr = lr
             sums = {name: [0.0] * 4 for name in students}  # hard, teacher, peer, total
             entropy_sum = weight_sum = 0.0
-            seen = 0
-            for batch, (x, y) in enumerate(
-                    _augmented_batches(ds, config, config.seeds.shuffle, epoch)):
-                x = Tensor(x)  # one leaf for the teacher's and both students' forwards
+            for batch, start in enumerate(range(0, n_train, size)):
+                n = min(size, n_train - start)  # the last partial batch is kept
+                x, y, t_logits = teach(n)
                 bd1, bd2, stats = train_step_dual(
-                    teach(x), students["s1"], students["s2"], (x, y), config,
-                    opts["s1"], opts["s2"])
-                n = x.data.shape[0]
+                    _teacher_stats(t_logits), students["s1"], students["s2"], (x, y),
+                    config, opts["s1"], opts["s2"])
                 for name, bd in (("s1", bd1), ("s2", bd2)):
                     breakdowns[name].append(bd)
                     sums[name] = [s + n * v for s, v in
                                   zip(sums[name], (bd.hard, bd.teacher, bd.peer, bd.total))]
                 entropy_sum += np.add.reduce(stats.entropy)
                 weight_sum += np.add.reduce(stats.weight)
-                seen += n
             batch = None
             for name, net in students.items():
                 train_eval = evaluate(net, ds, "train")
                 val_eval = evaluate(net, ds, "val")
-                means = [s / seen for s in sums[name]]
+                means = [s / n_train for s in sums[name]]
                 records.append(MetricsRecord(
                     epoch=epoch, student=name, hard=means[0],
                     teacher=means[1], peer=means[2], total=means[3],
                     train_top1=train_eval["top1"],
                     val_top1=val_eval["top1"], val_top5=val_eval["top5"],
-                    mean_entropy=float(entropy_sum / seen),
-                    mean_weight=float(weight_sum / seen),
+                    mean_entropy=float(entropy_sum / n_train),
+                    mean_weight=float(weight_sum / n_train),
                     lr=lr,
                 ))
                 if val_eval["top1"] > best[name][0]:
@@ -631,7 +625,7 @@ def train(config: TrainConfig, out_dir=None,
             _write_diverged(run_dir, config, phase, err, epoch, batch)
         raise
     finally:
-        if isinstance(teach, _TeacherProducer):
+        if teach is not None:
             teach.close()
 
     summary = _summarize(config, teacher, teacher_val, students, records, best,
@@ -751,7 +745,7 @@ def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, f
     """All four ladder rows for one seed block, on one teacher and one teacher pass per batch.
 
     Every row's train takes the block's spill in out_root as its teacher: the
-    hard_only row's pretrains the teacher and records its per-batch outputs,
+    hard_only row's pretrains the teacher and copies its stream's frames,
     and the later rows get the same teacher and replay them. The spill is
     closed, and so gone, however the block ends.
     """
@@ -766,18 +760,20 @@ def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, f
 
 
 def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
-           jobs: int = 1) -> AblationResult:
+           jobs: int | None = None) -> AblationResult:
     """The four-row loss-component ladder, averaged over seed blocks.
 
     Rows: hard labels only; plus teacher KD (weights fixed, confidence off);
     plus confidence weighting; plus the peer term (dual mode). Each block
-    pretrains one teacher reused across its rows and runs it once per batch:
-    the later rows replay the first row's teacher outputs. jobs > 1 runs blocks in
-    parallel processes, each on one BLAS thread so that the workers do not
-    compete for the cores; results are merged in block order either way.
+    pretrains one teacher reused across its rows and draws each batch, and
+    runs the teacher on it, once: the later rows replay the first row's
+    stream. jobs > 1 (None: the usable cores) runs up to one process per
+    block, each on one BLAS thread so that the workers do not compete for
+    the cores; results are merged in block order either way.
     """
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
+    jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
     if out_root is not None:

@@ -342,6 +342,16 @@ def test_ukdd_rejects_corruption(tmp_path):
     with pytest.raises(FormatError, match="label"):
         load_dataset(bad_label)
 
+    labels_end = 20 + 4 * ds.labels.size
+    for name, value, row, col in (("nan", np.nan, 0, 3), ("inf", -np.inf, 5, 0)):
+        offset = labels_end + 8 * (row * ds.features.shape[1] + col)
+        rogue_feature = bytearray(blob)
+        rogue_feature[offset: offset + 8] = struct.pack("<d", value)
+        bad_feature = tmp_path / f"{name}.ukdd"
+        bad_feature.write_bytes(bytes(rogue_feature))
+        with pytest.raises(FormatError, match=f"non-finite feature at offset {offset}$"):
+            load_dataset(bad_feature)
+
 
 def test_a_huge_declared_class_count_loads_in_time_of_its_rows(tmp_path):
     # C = 2^32 - 1, N = 2, dim 2: 60 bytes; visiting every declared class would take minutes

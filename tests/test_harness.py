@@ -7,6 +7,7 @@ reproducibility down to file bytes, and the checkpoint format.
 
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -731,13 +732,16 @@ def test_train_final_checkpoint_matches_live_net(tmp_path):
         assert np.array_equal(forward(loaded, Tensor(x)).data, live)
 
 
-def test_validation_pipeline_never_augments(monkeypatch):
+def test_validation_pipeline_never_augments(monkeypatch, tmp_path):
     import ukd.harness as hmod
     from ukd.data import augment as real_augment
-    calls = []
+    log = tmp_path / "augments"
 
     def counting(x, strength, rng):
-        calls.append(x.shape[0])
+        # the producer process augments the student phase's batches, so each
+        # call appends its row count to a file
+        with open(log, "a") as fh:
+            fh.write(f"{x.shape[0]}\n")
         return real_augment(x, strength, rng)
 
     monkeypatch.setattr(hmod, "augment", counting)
@@ -745,6 +749,7 @@ def test_validation_pipeline_never_augments(monkeypatch):
     ds = generate(cfg.dataset)
     n_train_batches = len(list(batches(ds, "train", cfg.batch_size, 0, 0)))
     train(cfg, None)
+    calls = [int(line) for line in log.read_text().splitlines()]
     # one call per train batch, for teacher pretraining plus the student phase
     assert len(calls) == (cfg.teacher_epochs + cfg.epochs) * n_train_batches
     n_train = len(ds.train_indices)
@@ -990,6 +995,23 @@ def test_ladder_rows_replaying_the_teacher_stream_equal_plain_runs(tmp_path, mon
     assert len(passes()) == 5 * per_row  # each plain run computes the stream itself
 
 
+def test_a_ladder_block_draws_each_student_phase_batch_once(tmp_path, monkeypatch):
+    base = small_config("dual", epochs=2, teacher_epochs=2)
+    log, real_batches = tmp_path / "epochs", harness._augmented_batches
+
+    def drawn(ds, config, stream, epoch):
+        with open(log, "a") as fh:  # the producer draws too, so each epoch appends its pid
+            fh.write(f"{os.getpid()}\n")
+        return real_batches(ds, config, stream, epoch)
+
+    monkeypatch.setattr(harness, "_augmented_batches", drawn)
+    ablate(base, [0])
+    pids = [int(line) for line in log.read_text().splitlines()]
+    assert len(pids) == base.teacher_epochs + base.epochs
+    # the main process draws the teacher's batches only; the producer, the students'
+    assert pids.count(os.getpid()) == base.teacher_epochs
+
+
 def _spying_on_spills(monkeypatch):
     """The spill files ablate opens, as (directory, file object) pairs."""
     opened, real = [], tempfile.TemporaryFile
@@ -1040,25 +1062,13 @@ def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeyp
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
-class _InProcessStream:
-    """The teacher stream computed in the calling process, as train computed it
-    before it had a producer: the reference the producer is compared with."""
-
-    def __init__(self, teacher, ds, config):
-        self.teacher, self.record = teacher, None
-
-    def __call__(self, x):
-        try:
-            t_logits = harness.forward(self.teacher, x)
-        except NumericError as err:
-            raise NumericError(f"teacher forward diverged: {err}") from err
-        taught = harness._teacher_stats(t_logits)
-        if self.record is not None:
-            self.record(*taught)
-        return taught
-
-    def close(self):
-        pass
+def _in_process_stream(teacher, ds, config):
+    """The whole teacher stream, written up front in the calling process and
+    read from memory: the reference the producer is compared with."""
+    frames = io.BytesIO()
+    harness._produce(teacher, ds, config, frames)
+    frames.seek(0)
+    return harness._TeacherStream(frames, config)
 
 
 def _teacher_pass_fails(at, fail):
@@ -1111,7 +1121,7 @@ def test_the_producer_is_reaped_however_a_run_ends(tmp_path, monkeypatch, ending
     runs = {}
     for name in ("producer", "in-process"):
         if name == "in-process":
-            monkeypatch.setattr(harness, "_TeacherProducer", _InProcessStream)
+            monkeypatch.setattr(harness, "_fork_producer", _in_process_stream)
         steps.clear()
         with pytest.raises(raises) if raises else nullcontext():
             ablate(base, [0], out_root=tmp_path / name)
