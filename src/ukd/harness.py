@@ -11,7 +11,8 @@ gamma=0 neither student's updates depend on the other student.
 
 A run gets its frozen teacher, the teacher's val top-1 and its teacher
 stream from _teacher_phase, and from nowhere else. The stream, each batch
-with its teacher logits, is the student phase's only source of batches. A
+with its teacher logits, is the student phase's only source of batches,
+and train_step_dual computes the statistics of those logits itself. A
 computed one comes from a producer process forked once the teacher is
 frozen, which alone draws the batches and runs the teacher beside the
 students' steps. The rows of one ladder block share the data, the teacher
@@ -230,21 +231,6 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
     return np.ones_like(stats.weight)
 
 
-def _teacher_stats(t_logits: Tensor) -> tuple[Tensor, UncertaintyStats]:
-    """A batch's frozen-teacher logits, plus uncertainty statistics of their raw softmax.
-
-    log_softmax checks the teacher's log-probabilities are finite and keeps
-    the row pair on t_logits, so row_softmax takes no second exp. A
-    NumericError is named "teacher forward diverged: ...", as one in the
-    teacher's forward pass is.
-    """
-    try:
-        log_softmax(t_logits, 1.0)
-        return t_logits, uncertainty_stats(row_softmax(t_logits, 1.0))
-    except NumericError as err:
-        raise NumericError(f"teacher forward diverged: {err}") from err
-
-
 # What the producer writes before each batch's frame, or before the message of
 # a NumericError in the teacher's forward pass that ends its stream.
 _FRAME, _DIVERGED = b"\0", b"\1"
@@ -363,14 +349,10 @@ class _TeacherSpill:
 
     def open(self, config: TrainConfig, ds: Dataset):
         """The run's teacher phase, as _teacher_phase: copies its stream if empty, else replays."""
-        import tempfile  # imported here, when a ladder block needs it, not at startup
-
         fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
-            # opened first, so that an OSError here strands no forked producer
-            self.file = tempfile.TemporaryFile(dir=self.directory)
             self.teacher, self.teacher_val, stream = _teacher_phase(config, ds, None)
-            self.fit, stream.copy = fit, self.file.writelines
+            self.fit, stream.copy = fit, self._copy
             return self.teacher, self.teacher_val, stream
         if fit != self.fit:
             raise SpecError("the spilled teacher stream was recorded for a config that "
@@ -378,16 +360,18 @@ class _TeacherSpill:
         self.file.seek(0)
         return self.teacher, self.teacher_val, _TeacherStream(self.file, config)
 
+    def _copy(self, frame) -> None:
+        # the file is opened with the first frame, once the run has written its
+        # directory, so a block stopped in pretraining creates none
+        if self.file is None:
+            import tempfile  # imported here, when a ladder block needs it, not at startup
+
+            self.file = tempfile.TemporaryFile(dir=self.directory)
+        self.file.writelines(frame)
+
     def close(self) -> None:
         if self.file is not None:
             self.file.close()
-
-
-def _update(loss: Tensor, opt: SgdState) -> None:
-    """One SGD update of opt's parameters from the gradient of loss."""
-    zero_grad(opt.params)
-    backward(loss)
-    sgd_step(opt)
 
 
 def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int):
@@ -402,25 +386,31 @@ def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int
         yield augment(x, config.augment_strength, rng), y
 
 
-def train_step_dual(taught: tuple[Tensor, UncertaintyStats], s1: Network, s2: Network,
-                    batch, config: TrainConfig, opt1: SgdState, opt2: SgdState,
+def train_step_dual(t_logits: Tensor, s1: Network, s2: Network, batch, config: TrainConfig,
+                    opt1: SgdState, opt2: SgdState,
                     ) -> tuple[LossBreakdown, LossBreakdown, UncertaintyStats]:
     """The dual step: both students see one batch, build their losses, then update.
 
-    taught holds the batch's teacher outputs (t_logits, stats) from
-    _teacher_stats, and batch is (x, y) with x the Tensor the teacher saw;
-    no forward writes into it. s1's and s2's forwards; each student's terms
-    of nonzero weight and their sum, s1 first; then s1 updates, then s2.
-    Each treats the other's logits as a fixed (gradient-stopped) target, so
-    neither update leaks into the other. A NumericError names its stage:
-    "s2 peer loss term".
+    t_logits is the frozen teacher's logits on the batch, and batch is (x, y)
+    with x the Tensor the teacher saw; no forward writes into it. In order:
+    the uncertainty statistics of the teacher's raw softmax, whose weights
+    scale each row's teacher term in CONFIDENCE_MODES; s1's and s2's
+    forwards; each student's terms of nonzero weight and their sum, s1
+    first; then s1 updates, then s2. Each treats the other's logits as a
+    fixed (gradient-stopped) target, so neither update leaks into the other.
+    A NumericError names its stage: "teacher forward" for the teacher's
+    logits, as in its forward pass, or "s2 peer loss term".
     """
     x, y = batch
     if x.data.shape[0] == 0:
         raise DataError("empty batch")
-    t_logits, stats = taught
-    stage = "s1 forward"
+    stage = "teacher forward"
     try:
+        # log_softmax checks the teacher's log-probabilities are finite and
+        # keeps the row pair on t_logits, so row_softmax takes no second exp
+        log_softmax(t_logits, 1.0)
+        stats = uncertainty_stats(row_softmax(t_logits, 1.0))
+        stage = "s1 forward"
         z1 = forward(s1, x)
         stage = "s2 forward"
         z2 = forward(s2, x)
@@ -443,8 +433,10 @@ def train_step_dual(taught: tuple[Tensor, UncertaintyStats], s1: Network, s2: Ne
     except NumericError as err:
         raise NumericError(f"{stage} diverged: {err}") from err
     (loss1, bd1), (loss2, bd2) = losses
-    _update(loss1, opt1)
-    _update(loss2, opt2)
+    for loss, opt in ((loss1, opt1), (loss2, opt2)):
+        zero_grad(opt.params)
+        backward(loss)
+        sgd_step(opt)
     return bd1, bd2, stats
 
 
@@ -474,7 +466,9 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
                 diverged = NumericError(f"{stage} diverged: {err}")
                 diverged.at = (epoch, batch)  # where train's diverged summary says it stopped
                 raise diverged from err
-            _update(loss, opt)
+            zero_grad(opt.params)
+            backward(loss)
+            sgd_step(opt)
     teacher.freeze()
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
@@ -537,8 +531,8 @@ def train(config: TrainConfig, out_dir=None,
     """Run one full training per the config; write metrics/checkpoints if out_dir.
 
     The teacher phase gives the run its frozen teacher, its val top-1 and
-    its stream of batches with their teacher logits; train computes every
-    batch's teacher statistics itself. teacher is None (pretrain here), a
+    its stream of batches with their teacher logits, which train hands to
+    train_step_dual as they come. teacher is None (pretrain here), a
     frozen Network that shares pretraining across runs, or a ladder block's
     _TeacherSpill. A Network must be byte-identical to what
     pretrain_teacher(config) would build, which holds whenever data and
@@ -594,9 +588,8 @@ def train(config: TrainConfig, out_dir=None,
             for batch, start in enumerate(range(0, n_train, size)):
                 n = min(size, n_train - start)  # the last partial batch is kept
                 x, y, t_logits = teach(n)
-                bd1, bd2, stats = train_step_dual(
-                    _teacher_stats(t_logits), students["s1"], students["s2"], (x, y),
-                    config, opts["s1"], opts["s2"])
+                bd1, bd2, stats = train_step_dual(t_logits, students["s1"], students["s2"],
+                                                  (x, y), config, opts["s1"], opts["s2"])
                 for name, bd in (("s1", bd1), ("s2", bd2)):
                     breakdowns[name].append(bd)
                     sums[name] = [s + n * v for s, v in
@@ -747,7 +740,8 @@ def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, f
     Every row's train takes the block's spill in out_root as its teacher: the
     hard_only row's pretrains the teacher and copies its stream's frames,
     and the later rows get the same teacher and replay them. The spill is
-    closed, and so gone, however the block ends.
+    closed, and so gone, however the block ends. out_root is not created
+    here: it appears with the hard_only row's first file.
     """
     finals: dict[str, dict[str, float]] = {}
     with closing(_TeacherSpill(out_root)) as spill:
@@ -769,15 +763,14 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     runs the teacher on it, once: the later rows replay the first row's
     stream. jobs > 1 (None: the usable cores) runs up to one process per
     block, each on one BLAS thread so that the workers do not compete for
-    the cores; results are merged in block order either way.
+    the cores; results are merged in block order either way. out_root
+    appears with its first file, so a ladder stopped before then leaves none.
     """
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
     jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
-    if out_root is not None:
-        Path(out_root).mkdir(parents=True, exist_ok=True)
     if jobs == 1 or len(seeds) == 1:
         per_block = [_run_block(base_config, b, out_root) for b in seeds]
     else:
@@ -839,8 +832,8 @@ def save_checkpoint(net: Network, path) -> None:
 def load_checkpoint(path) -> Network:
     """Rebuild a trainable network from a UKDC file; parameters are bit-exact.
 
-    A file that build would refuse, such as one ending in a relu layer, raises
-    FormatError naming the offset.
+    A file that build would refuse, such as one ending in a relu layer, or
+    one with a NaN or infinite parameter, raises FormatError naming the offset.
     """
     blob = Path(path).read_bytes()
     if len(blob) < 12:
@@ -877,6 +870,10 @@ def load_checkpoint(path) -> Network:
             if offset + size > len(blob):
                 raise FormatError(f"file truncated at offset {offset} reading {name}")
             arr = np.frombuffer(blob, "<f8", count=size // 8, offset=offset).reshape(shape)
+            finite = np.isfinite(arr)
+            if not finite.all():  # the net would run, and fail only in its first forward
+                raise FormatError(f"non-finite {name} value at offset "
+                                  f"{offset + 8 * int(finite.argmin())}")
             parameters.append(Tensor(arr.copy(), requires_grad=True))
             offset += size
     if offset != len(blob):

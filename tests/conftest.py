@@ -45,8 +45,7 @@ def _dual_step():
 
     It does in one process what train and its teacher producer do per
     computed batch: wrap the batch in one Tensor, run the frozen teacher on
-    it, take the statistics of its logits from _teacher_stats, and run
-    train_step_dual.
+    it, and run train_step_dual on the teacher's logits.
     _dual_step_calls leaves out the frame of this plumbing function itself.
     """
     import numpy as np
@@ -66,8 +65,7 @@ def _dual_step():
 
     def step():
         xt = Tensor(x)
-        return harness.train_step_dual(harness._teacher_stats(forward(teacher, xt)), *students,
-                                       (xt, y), config, *opts)
+        return harness.train_step_dual(forward(teacher, xt), *students, (xt, y), config, *opts)
     return step
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from ukd.distill import (KL_DIRECTIONS, _entropy, confidence_weight, hard_loss, peer_loss,
                          teacher_loss, total_loss, uncertainty_stats)
-from ukd.errors import NumericError, ParameterError
+from ukd.errors import DataError, NumericError, ParameterError
 from ukd.gradcore import (
     Tensor,
     _accumulate,
@@ -43,7 +43,7 @@ from ukd.gradcore import (
     sub,
     tensor_sum,
 )
-from ukd.harness import TrainConfig, _label_ranks, _teacher_stats, train_step_dual
+from ukd.harness import TrainConfig, _label_ranks, train_step_dual
 from ukd.nets import LayerSpec, Network, forward
 from ukd.optim import SgdState
 
@@ -347,9 +347,27 @@ def test_non_finite_intermediate_in_a_term_is_named(term, direction):
     gamma, named = (0.2, "s1") if term == "peer" else (0.0, "s2")
     config = TrainConfig(mode="dual", gamma=gamma, tau=0.5, kl_direction=direction)
     with pytest.raises(NumericError, match=f"^{named} {term} loss term diverged: "):
-        train_step_dual(_teacher_stats(forward(teacher, x)), s1, s2, (x, np.array([0, 1])), config,
+        train_step_dual(forward(teacher, x), s1, s2, (x, np.array([0, 1])), config,
                         SgdState(s1.parameters, 0.1, 0.0, 0.0),
                         SgdState(s2.parameters, 0.1, 0.0, 0.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows,error,message", [
+    (0, DataError, "^empty batch$"),
+    (2, NumericError, "^teacher forward diverged: log_softmax produced non-finite values$"),
+], ids=["empty batch", "teacher overflow"])
+def test_the_step_checks_the_teacher_side_before_the_students_run(rows, error, message):
+    # the teacher's logits [1e308, -1e308] are finite but overflow when the
+    # row max is subtracted at temperature 1; the students' logits are moderate
+    x = Tensor(np.hstack([[[1e308, -1e308], [0.0, 1.0]], MODERATE, MODERATE])[:rows])
+    teacher, s1, s2 = _picker(0).freeze(), _picker(2), _picker(4)
+    before = [p.data.tobytes() for p in s1.parameters + s2.parameters]
+    with pytest.raises(error, match=message):
+        train_step_dual(forward(teacher, x), s1, s2, (x, np.array([0, 1])[:rows]),
+                        TrainConfig(mode="dual"), SgdState(s1.parameters, 0.1, 0.0, 0.0),
+                        SgdState(s2.parameters, 0.1, 0.0, 0.0))
+    assert [p.data.tobytes() for p in s1.parameters + s2.parameters] == before
 
 
 # ---------------------------------------------------------------- lean forms

@@ -73,11 +73,10 @@ def clone_net(net):
 
 
 def dual_step(teacher, s1, s2, batch, cfg, opt1, opt2):
-    """What train and its producer do per computed batch: teacher logits and
-    statistics, then the dual step."""
+    """What train and its producer do per computed batch: the teacher's logits,
+    then the dual step."""
     x = Tensor(batch[0])
-    return train_step_dual(harness._teacher_stats(forward(teacher, x)), s1, s2, (x, batch[1]), cfg,
-                           opt1, opt2)
+    return train_step_dual(forward(teacher, x), s1, s2, (x, batch[1]), cfg, opt1, opt2)
 
 
 # ------------------------------------------------------------------ config
@@ -262,12 +261,14 @@ def test_dual_step_computes_six_row_softmaxes(dual_step_graph):
     assert dual_step_graph[2] == 6
 
 
-def test_warm_dual_step_makes_at_most_140_python_calls(dual_step_calls):
+def test_warm_dual_step_makes_at_most_137_python_calls(dual_step_calls):
     # one Tensor for the batch, one loop over the students and a list scan
     # in Network.frozen took it from 170 to 155; checking the teacher is
-    # frozen once per run, not in _teacher_stats per batch, to 153; an op
-    # output that is its own graph node, with no Node built for its 13 ops, to 140
-    assert sum(dual_step_calls.values()) <= 140
+    # frozen once per run, not per batch, to 153; an op output that is its
+    # own graph node, with no Node built for its 13 ops, to 140; the step
+    # taking the teacher's statistics and making both updates itself, with
+    # no helper frame for either, to 137
+    assert sum(dual_step_calls.values()) <= 137
 
 
 def test_warm_dual_step_makes_no_numpy_wrapper_calls(dual_step_calls):
@@ -860,6 +861,11 @@ def _ckpt_bytes(tmp_path):
     # one none layer of (2^32 - 1) x (2^32 - 1): its byte count overflows int64
     (lambda b: b"UKDC" + struct.pack("<IIIIB", 1, 1, 2**32 - 1, 2**32 - 1, 0),
      "truncated at offset 21 reading weight_0"),
+    # the parameters start at offset 30: weight_0[0, 1] is NaN, bias_1[1] is -inf
+    (lambda b: bytes(b[:38]) + struct.pack("<d", math.nan) + bytes(b[46:]),
+     "non-finite weight_0 value at offset 38"),
+    (lambda b: bytes(b[:206]) + struct.pack("<d", -math.inf),
+     "non-finite bias_1 value at offset 206"),
 ])
 def test_checkpoint_corruption_detected(tmp_path, mutate, fragment):
     blob = _ckpt_bytes(tmp_path)
@@ -1200,8 +1206,12 @@ def test_a_run_interrupted_in_pretraining_leaves_no_run_directory(tmp_path, monk
         raise KeyboardInterrupt
 
     monkeypatch.setattr(harness, "pretrain_teacher", interrupted)
+    config = small_config("dual", epochs=2, teacher_epochs=2)
     with pytest.raises(KeyboardInterrupt):
-        train(small_config("dual", epochs=2, teacher_epochs=2), tmp_path / "run")
+        train(config, tmp_path / "run")
+    # nor does a ladder: its spill file is opened with the first frame it copies
+    with pytest.raises(KeyboardInterrupt):
+        ablate(config, [0], out_root=tmp_path / "abl")
     assert list(tmp_path.iterdir()) == []
 
 
