@@ -1,4 +1,4 @@
-"""A tour of the autodiff core: tapes, backward, detach, no_grad.
+"""A tour of the autodiff core: graph nodes, backward, detach, no_grad.
 
 Everything below is float64 numpy under the hood. A Tensor records the op
 that produced it; backward() walks that record in reverse and accumulates
@@ -36,7 +36,7 @@ w1.data[i, j] += h
 numeric = (hi - lo) / (2 * h)
 print(f"analytic {w1.grad[i, j]:+.10f} vs numeric {numeric:+.10f}")
 
-# detach() cuts the tape: the detached branch contributes value, not gradient.
+# detach() cuts the graph: the detached branch contributes value, not gradient.
 zero_grad([w1, b1, w2])
 frozen_half = detach(matmul(x, w1))
 loss2 = mean(add(matmul(x, w1), frozen_half))
@@ -46,7 +46,7 @@ print("with one branch detached, dloss/dw1 norm:", float(np.linalg.norm(w1.grad)
 # Inside no_grad() nothing is recorded at all; good for evaluation loops.
 with no_grad():
     silent = matmul(x, w1)
-print("no_grad result carries a tape:", silent.node is not None)
+print("no_grad result is a graph node:", silent.node is not None)
 
 # Temperature-scaled log-softmax is a first-class op (the distillation
 # losses are built from it); rows of its exp always sum to one.

@@ -16,9 +16,9 @@ and train_step_dual computes the statistics of those logits itself. A
 computed one comes from a producer process forked once the teacher is
 frozen, which alone draws the batches and runs the teacher beside the
 students' steps. The rows of one ladder block share the data, the teacher
-and seeds.shuffle, so the block's _TeacherSpill runs the teacher phase for
-the first row and copies its stream; the later rows get the same teacher
-and read the copy, with no batch drawn, no teacher pass and no fork.
+and seeds.shuffle, so the first row's producer also writes its stream to
+the block's _TeacherSpill; the later rows get the same teacher and read
+the spill, with no batch drawn, no teacher pass and no fork.
 
 Metrics CSVs must be byte-identical across repeated runs, so they hold no
 timing; the one wall-clock value is total_wall_seconds in the run summary.
@@ -33,6 +33,7 @@ import math
 import os
 import struct
 import sys
+import tempfile
 import time
 import traceback
 from contextlib import closing, suppress
@@ -244,16 +245,16 @@ class _TeacherStream:
     the pipe of the producer process pid, which alone draws the phase's
     batches; a replayed one reads a ladder block's spill. Called with a
     batch's row count, it returns (x, y, t_logits), with x and t_logits as
-    leaves; copy, when set, gets each frame unchanged. A NumericError in the
-    producer's forward pass is raised here at the same batch, as "teacher
-    forward diverged: ...". A stream that ends before the run's batches is a
-    ChildProcessError from a producer and a DataError from a spill. close()
-    closes a producer's pipe, so a producer still writing stops on EPIPE,
-    and reaps it; a spill stays open for the block's next row.
+    leaves. A NumericError in the producer's forward pass is raised here at
+    the same batch, as "teacher forward diverged: ...". A stream that ends
+    before the run's batches is a ChildProcessError from a producer and a
+    DataError from a spill. close() closes a producer's pipe, so a producer
+    still writing stops on EPIPE, and reaps it; a spill stays open for the
+    block's next row.
     """
 
     def __init__(self, file, config: TrainConfig, pid: int | None = None):
-        self.file, self.pid, self.copy, self.status = file, pid, None, None
+        self.file, self.pid, self.status = file, pid, None
         self.dim, self.classes = config.dataset.feature_dim, config.dataset.num_classes
 
     def __call__(self, n: int) -> tuple[Tensor, np.ndarray, Tensor]:
@@ -266,8 +267,6 @@ class _TeacherStream:
                 raise DataError("the spilled teacher stream ends before this run's batches")
             raise ChildProcessError("the teacher producer ended before this run's batches "
                                     f"(exit code {os.waitstatus_to_exitcode(self.close())})")
-        if self.copy is not None:
-            self.copy((head, *frame))
         x, y, logits = frame
         t_logits = Tensor(logits)
         # nothing writes into logits, so the leaf may keep its τ pair as an
@@ -283,40 +282,48 @@ class _TeacherStream:
         return self.status
 
 
-def _produce(teacher: Network, ds: Dataset, config: TrainConfig, out) -> None:
-    """Write the student phase's frames to out; a NumericError in a forward pass
-    ends the stream with its message."""
+def _produce(teacher: Network, ds: Dataset, config: TrainConfig, out, spill=None) -> None:
+    """Write the student phase's frames to out, each to spill first when given,
+    flushing each, so out's reader gets a frame only once the spill holds it.
+    A NumericError in a forward pass ends out's stream with its message."""
     try:
         for epoch in range(config.epochs):
             for x, y in _augmented_batches(ds, config, config.seeds.shuffle, epoch):
-                out.writelines((_FRAME, x, y, forward(teacher, Tensor(x)).data))
-                out.flush()
+                frame = (_FRAME, x, y, forward(teacher, Tensor(x)).data)
+                for f in (out,) if spill is None else (spill, out):
+                    f.writelines(frame)
+                    f.flush()
     except NumericError as err:
         out.write(_DIVERGED + str(err).encode())
 
 
-def _fork_producer(teacher: Network, ds: Dataset, config: TrainConfig) -> _TeacherStream:
+def _fork_producer(teacher: Network, ds: Dataset, config: TrainConfig, spill=None):
     """The student phase's _TeacherStream, from a producer process forked now.
 
-    The producer runs BLAS on one thread, so that it and the main process
-    each keep a core, and never returns into the caller's code. The main
-    process closing the pipe (EPIPE) or an interrupt (SIGINT) ends it
-    silently; anything else prints its traceback and exits 1. The pipe's
-    buffer is 1 MiB (a 512-row, 64-dim x is 256 KiB) where the system has
-    F_SETPIPE_SZ and allows it; elsewhere the bytes are the same, and wide
-    batches slower.
+    The producer writes each frame to spill, if given, then to the pipe. It
+    runs BLAS on one thread, so that it and the main process each keep a
+    core, and never returns into the caller's code. The main process closing
+    the pipe (EPIPE) or an interrupt (SIGINT) ends it silently; anything
+    else prints its traceback and exits 1. The pipe's buffer is 1 MiB (a
+    512-row, 64-dim x is 256 KiB) where the system has F_SETPIPE_SZ and
+    allows it; elsewhere the bytes are the same, and wide batches slower.
     """
     read_end, write_end = os.pipe()
-    with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or refused
-        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
-    pid = os.fork()
+    try:
+        with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or refused
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1 << 20)
+        pid = os.fork()
+    except BaseException:  # no child exists, so nothing else closes the pipe
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
             _one_blas_thread()
             with open(write_end, "wb") as pipe:
-                _produce(teacher, ds, config, pipe)
+                _produce(teacher, ds, config, pipe, spill)
             code = 0
         except (BrokenPipeError, KeyboardInterrupt):
             code = 0
@@ -332,27 +339,27 @@ def _fork_producer(teacher: Network, ds: Dataset, config: TrainConfig) -> _Teach
 class _TeacherSpill:
     """One ladder block's teacher, its val top-1 and its stream, spilled to an unnamed file.
 
-    The first train given the spill runs the teacher phase, and its stream
-    copies every frame it reads into the file unchanged; each later train
-    gets the same teacher and val top-1 and reads the file with a
+    The first train given the spill runs the teacher phase, and its
+    producer writes every frame into the file before the pipe; each later
+    train gets the same teacher and val top-1 and reads the file with a
     _TeacherStream of its own, with no batch drawn and no teacher pass. All
     three are a function of the config apart from its mode and loss weights:
     a run that differs elsewhere is refused, and so is a stream that ends
-    early. The file lives in directory (None: the system's temporary
-    directory) without a name, so it is never visible and a crash leaves
-    nothing behind.
+    early. The file is opened with the spill, in the system's temporary
+    directory (TMPDIR) and without a name, so it is never visible and a
+    crash leaves nothing behind.
     """
 
-    def __init__(self, directory=None):
-        self.directory, self.file = directory, None
+    def __init__(self):
+        self.file = tempfile.TemporaryFile()
         self.fit = self.teacher = self.teacher_val = None  # fit: what all three are made for
 
     def open(self, config: TrainConfig, ds: Dataset):
-        """The run's teacher phase, as _teacher_phase: copies its stream if empty, else replays."""
+        """The run's teacher phase, as _teacher_phase: records its stream if empty, else replays."""
         fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
-            self.teacher, self.teacher_val, stream = _teacher_phase(config, ds, None)
-            self.fit, stream.copy = fit, self._copy
+            self.teacher, self.teacher_val, stream = _teacher_phase(config, ds, None, self.file)
+            self.fit = fit
             return self.teacher, self.teacher_val, stream
         if fit != self.fit:
             raise SpecError("the spilled teacher stream was recorded for a config that "
@@ -360,18 +367,8 @@ class _TeacherSpill:
         self.file.seek(0)
         return self.teacher, self.teacher_val, _TeacherStream(self.file, config)
 
-    def _copy(self, frame) -> None:
-        # the file is opened with the first frame, once the run has written its
-        # directory, so a block stopped in pretraining creates none
-        if self.file is None:
-            import tempfile  # imported here, when a ladder block needs it, not at startup
-
-            self.file = tempfile.TemporaryFile(dir=self.directory)
-        self.file.writelines(frame)
-
     def close(self) -> None:
-        if self.file is not None:
-            self.file.close()
+        self.file.close()
 
 
 def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int):
@@ -473,16 +470,16 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
     return teacher, evaluate(teacher, ds, "val")["top1"]
 
 
-def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None):
+def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None, spill=None):
     """(frozen teacher, val top-1, its _TeacherStream); None pretrains the teacher.
 
-    The producer forks once the teacher is frozen and evaluated.
+    The producer forks once the teacher is frozen and evaluated; it writes to spill too.
     """
     if teacher is None:
         teacher, teacher_val = pretrain_teacher(config, ds)
     else:
         teacher_val = evaluate(teacher, ds, "val")["top1"]
-    return teacher, teacher_val, _fork_producer(teacher, ds, config)
+    return teacher, teacher_val, _fork_producer(teacher, ds, config, spill)
 
 
 @_QUIET_FP
@@ -537,7 +534,7 @@ def train(config: TrainConfig, out_dir=None,
     _TeacherSpill. A Network must be byte-identical to what
     pretrain_teacher(config) would build, which holds whenever data and
     teacher seeds (and teacher hypers) match; its frozen state and its
-    layers are checked before anything is written. An empty spill copies
+    layers are checked before anything is written. An empty spill records
     the computed stream; a full one hands back its teacher and replays it,
     and a replayed run's files are byte-identical to a computed one's. A
     computed stream's producer process is reaped before train returns or
@@ -737,14 +734,14 @@ def _ablation_config(base: TrainConfig, mode: str, block: int) -> TrainConfig:
 def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, float]]:
     """All four ladder rows for one seed block, on one teacher and one teacher pass per batch.
 
-    Every row's train takes the block's spill in out_root as its teacher: the
-    hard_only row's pretrains the teacher and copies its stream's frames,
-    and the later rows get the same teacher and replay them. The spill is
-    closed, and so gone, however the block ends. out_root is not created
-    here: it appears with the hard_only row's first file.
+    Every row's train takes the block's spill as its teacher: the hard_only
+    row's pretrains the teacher and its producer records the stream's
+    frames, and the later rows get the same teacher and replay them. The
+    spill is closed, and so gone, however the block ends. out_root is not
+    created here: it appears with the hard_only row's first file.
     """
     finals: dict[str, dict[str, float]] = {}
-    with closing(_TeacherSpill(out_root)) as spill:
+    with closing(_TeacherSpill()) as spill:
         for mode in ABLATION_ROWS:
             run_dir = None if out_root is None else Path(out_root) / f"{mode}-block{block}"
             summary = train(_ablation_config(base, mode, block), run_dir, spill).summary
@@ -768,7 +765,9 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     """
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
-    jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
+    if jobs is None:  # the usable cores, or all of them where affinity is unknown
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs < 1:
         raise SpecError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(seeds) == 1:

@@ -1018,12 +1018,34 @@ def test_a_ladder_block_draws_each_student_phase_batch_once(tmp_path, monkeypatc
     assert pids.count(os.getpid()) == base.teacher_epochs
 
 
-def _spying_on_spills(monkeypatch):
-    """The spill files ablate opens, as (directory, file object) pairs."""
+class _LoggedFile:
+    """A file that appends the pid of the process making each write to log."""
+
+    def __init__(self, file, log):
+        self.file, self.log = file, log
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def _logged(self, write, data):
+        with open(self.log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return write(data)
+
+    def write(self, data):
+        return self._logged(self.file.write, data)
+
+    def writelines(self, lines):
+        return self._logged(self.file.writelines, lines)
+
+
+def _spying_on_spills(monkeypatch, log):
+    """The spill files ablate opens, as (keyword arguments, _LoggedFile) pairs;
+    every write to them appends its pid to log."""
     opened, real = [], tempfile.TemporaryFile
 
     def spy(*args, **kwargs):
-        opened.append((kwargs.get("dir"), real(*args, **kwargs)))
+        opened.append((kwargs, _LoggedFile(real(*args, **kwargs), log)))
         return opened[-1][1]
 
     monkeypatch.setattr(tempfile, "TemporaryFile", spy)
@@ -1037,7 +1059,7 @@ def _spying_on_spills(monkeypatch):
 ])
 def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeypatch,
                                                                ending, rows_left):
-    opened = _spying_on_spills(monkeypatch)
+    opened = _spying_on_spills(monkeypatch, tmp_path / "writes")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     (tmp_path / "tmp").mkdir()
     real_step, steps = harness.train_step_dual, []
@@ -1060,7 +1082,7 @@ def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeyp
         else:
             with pytest.raises(type(ending)):
                 ablate(base, [0], out_root=out_root)
-        assert opened[-1][0] == out_root and opened[-1][1].closed
+        assert opened[-1][0] == {} and opened[-1][1].closed  # in tempfile.tempdir
     assert len(opened) == 2
     ablation_files = ["ablation.csv", "ablation.txt"] if ending is None else []
     assert sorted(p.name for p in (tmp_path / "abl").iterdir()) == sorted(
@@ -1068,11 +1090,12 @@ def test_the_teacher_spill_leaves_nothing_however_a_block_ends(tmp_path, monkeyp
     assert list((tmp_path / "tmp").iterdir()) == []
 
 
-def _in_process_stream(teacher, ds, config):
-    """The whole teacher stream, written up front in the calling process and
-    read from memory: the reference the producer is compared with."""
+def _in_process_stream(teacher, ds, config, spill=None):
+    """The whole teacher stream, written up front in the calling process (and
+    to spill, if given) and read from memory: the reference the producer is
+    compared with."""
     frames = io.BytesIO()
-    harness._produce(teacher, ds, config, frames)
+    harness._produce(teacher, ds, config, frames, spill)
     frames.seek(0)
     return harness._TeacherStream(frames, config)
 
@@ -1108,7 +1131,7 @@ def _diverge():
 @pytest.mark.parametrize("ending", ["finished", "student diverged", "interrupted",
                                     "producer diverged"])
 def test_the_producer_is_reaped_however_a_run_ends(tmp_path, monkeypatch, ending):
-    opened = _spying_on_spills(monkeypatch)
+    opened = _spying_on_spills(monkeypatch, tmp_path / "writes")
     base = small_config("dual", epochs=2, teacher_epochs=2)
     real_step, steps = harness.train_step_dual, []
 
@@ -1146,6 +1169,50 @@ def test_the_producer_is_reaped_however_a_run_ends(tmp_path, monkeypatch, ending
             "students", 1, 1, "teacher forward diverged: dense produced non-finite values")
 
 
+def test_only_the_producer_writes_the_spill(tmp_path, monkeypatch):
+    opened = _spying_on_spills(monkeypatch, tmp_path / "writes")
+    recorded, real_train = [], harness.train
+
+    def recording(config, out_dir, spill):
+        result = real_train(config, out_dir, spill)
+        if config.mode == "hard_only":
+            spill.file.seek(0)
+            recorded.append((result.teacher, config, spill.file.read()))
+        return result
+
+    monkeypatch.setattr(harness, "train", recording)
+    ablate(small_config("dual", epochs=2, teacher_epochs=2), [0])
+    assert len(opened) == 1 and opened[0][1].closed
+    writers = {int(line) for line in (tmp_path / "writes").read_text().splitlines()}
+    assert len(writers) == 1 and os.getpid() not in writers  # the producer, alone
+    (teacher, config, spilled), = recorded
+    frames = io.BytesIO()
+    harness._produce(teacher, generate(config.dataset), config, frames)
+    assert spilled == frames.getvalue()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts fds in /proc/self/fd")
+def test_a_failed_fork_leaks_no_pipe(monkeypatch):
+    config = small_config("dual", epochs=1, teacher_epochs=1)
+    teacher, _ = pretrain_teacher(config)
+
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, "fork refused")
+
+    monkeypatch.setattr(os, "fork", refused)
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(3):
+        with pytest.raises(BlockingIOError):
+            train(config, None, teacher)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_ablate_runs_where_cpu_affinity_is_unknown(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on macOS, which has os.fork
+    result = ablate(small_config("dual", epochs=1, teacher_epochs=1), [0])
+    assert result.seeds == [0] and list(result.means) == list(ABLATION_ROWS)
+
+
 @pytest.mark.parametrize("stop,code", [(lambda: os._exit(9), 9),
                                        (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
                          ids=["exits", "killed"])
@@ -1166,11 +1233,12 @@ def test_a_producer_that_stops_early_is_an_error(monkeypatch, stop, code):
     _no_child_is_left()
 
 
-def test_a_replay_refuses_a_stream_that_does_not_fit(tmp_path):
+def test_a_replay_refuses_a_stream_that_does_not_fit(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cfg = small_config("hard_only", epochs=2, teacher_epochs=2)
     kd = replace(cfg, mode="baseline_kd", alpha=None, beta=None, gamma=None)
     narrow = mlp_spec(cfg.dataset.feature_dim, [16], cfg.dataset.num_classes)
-    with closing(harness._TeacherSpill(tmp_path)) as spill:
+    with closing(harness._TeacherSpill()) as spill:
         teacher = train(cfg, None, spill).teacher
         replayed = train(kd, None, spill)
         assert replayed.teacher is teacher
@@ -1191,10 +1259,11 @@ def test_a_replay_refuses_a_stream_that_does_not_fit(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_run_the_spill_refuses_leaves_no_run_directory(tmp_path):
+def test_a_run_the_spill_refuses_leaves_no_run_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     cfg = small_config("hard_only", epochs=2, teacher_epochs=2)
     kd = replace(cfg, mode="baseline_kd", alpha=None, beta=None, gamma=None)
-    with closing(harness._TeacherSpill(tmp_path)) as spill:
+    with closing(harness._TeacherSpill()) as spill:
         train(cfg, None, spill)
         with pytest.raises(SpecError, match="spilled teacher stream was recorded for"):
             train(replace(kd, batch_size=16), tmp_path / "run", spill)
@@ -1209,7 +1278,8 @@ def test_a_run_interrupted_in_pretraining_leaves_no_run_directory(tmp_path, monk
     config = small_config("dual", epochs=2, teacher_epochs=2)
     with pytest.raises(KeyboardInterrupt):
         train(config, tmp_path / "run")
-    # nor does a ladder: its spill file is opened with the first frame it copies
+    # nor does a ladder, though its unnamed spill file is opened before pretraining
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with pytest.raises(KeyboardInterrupt):
         ablate(config, [0], out_root=tmp_path / "abl")
     assert list(tmp_path.iterdir()) == []
