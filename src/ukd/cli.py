@@ -120,7 +120,7 @@ _SECTIONS = {**_FIELDS, "run": {**_FIELDS["run"], "out": str},
 
 def _read_config(text: str) -> tuple[dict[str, dict], str | None]:
     """Config file -> (its values per section, output dir). Unknown keys are rejected."""
-    cp = configparser.ConfigParser(interpolation=None)
+    cp = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is unknown
     try:
         cp.read_string(text)
     except configparser.Error as err:
@@ -177,8 +177,11 @@ def _assemble_config(args, default_mode: str | None = None,
     The file may not set a (section, key) of fixed: the command sets those itself.
     """
     flags = vars(args)  # only flags given: a run flag's default is argparse.SUPPRESS
-    given, out = _read_config(Path(flags["config"]).read_text(encoding="utf-8")
-                              if "config" in flags else "")
+    try:
+        text = Path(flags["config"]).read_text(encoding="utf-8") if "config" in flags else ""
+    except UnicodeDecodeError as err:
+        raise SpecError(f"config file {flags['config']} is not UTF-8: {err}") from None
+    given, out = _read_config(text)
     clash = [f"{key} in [{section}]" for section, key in fixed if key in given[section]]
     if clash:
         raise SpecError(f"{args.command} sets {', '.join(clash)} itself; "

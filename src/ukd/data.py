@@ -129,15 +129,13 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
         raise SpecError(f"val_fraction must lie in (0,1), got {val_fraction}")
     train_parts, val_parts = [], []
     order = np.argsort(labels, kind="stable")  # each class's rows, in row order
-    present, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
-    for c, start, count in zip(present, starts, counts):
-        if 0 <= c < num_classes:
-            idx = order[start: start + count]
-            val_count = _val_count(val_fraction, idx.size)
-            train_parts.append(idx[: idx.size - val_count])
-            val_parts.append(idx[idx.size - val_count:])
-    train_idx = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
-    val_idx = np.concatenate(val_parts) if val_parts else np.empty(0, dtype=np.int64)
+    _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    for start, count in zip(starts, counts):  # every label lies in [0, num_classes)
+        idx = order[start: start + count]
+        val_count = _val_count(val_fraction, idx.size)
+        train_parts.append(idx[: idx.size - val_count])
+        val_parts.append(idx[idx.size - val_count:])
+    train_idx, val_idx = np.concatenate(train_parts), np.concatenate(val_parts)
     if train_idx.size == 0:
         raise DataError("training split is empty")
     train_feats = features[train_idx]
@@ -201,9 +199,11 @@ def bayes_oracle_accuracy(spec: DatasetSpec, mc_samples: int = 20_000,
 
 
 def nearest_mean_classify(points: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Index of the closest mean per row (squared Euclidean)."""
-    d2 = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Index of the closest mean per row (squared Euclidean), a chunk of rows at a time."""
+    step = max(1, 2**18 // means.size)  # rows per chunk: memory follows it, not rows x means
+    return np.concatenate([
+        ((chunk[:, None, :] - means[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        for chunk in np.split(points, range(step, len(points), step))])
 
 
 # ---------------------------------------------------------------- file formats

@@ -694,31 +694,36 @@ def _config_echo(config: TrainConfig) -> dict:
 
 @dataclass
 class AblationResult:
-    """Final val top-1 per ladder row, student, and seed, plus aggregates."""
+    """Final val top-1 per ladder row, student and seed block; the rest is read from it."""
 
-    rows: list[str]
     seeds: list[int]
-    finals: dict[str, dict[str, list[float]]]  # row -> student -> per-seed values
-    means: dict[str, dict[str, float]]
-    stds: dict[str, dict[str, float]]
+    finals: dict[str, dict[str, list[float]]]  # row -> student -> per-block values
+
+    @property
+    def rows(self) -> list[str]:
+        return list(self.finals)
+
+    @property
+    def means(self) -> dict[str, dict[str, float]]:
+        return {row: {s: float(np.mean(v)) for s, v in by.items()}
+                for row, by in self.finals.items()}
 
     def csv_text(self) -> str:
         lines = ["row,student,mean_val_top1,std_val_top1," +
                  ",".join(f"seed{s}" for s in self.seeds)]
-        for row in self.rows:
-            for student in ("s1", "s2"):
-                vals = self.finals[row][student]
+        for row, by in self.finals.items():
+            for student, vals in by.items():
                 lines.append(",".join(
-                    [row, student, repr(self.means[row][student]),
-                     repr(self.stds[row][student])] + [repr(v) for v in vals]))
+                    [row, student, repr(float(np.mean(vals))), repr(float(np.std(vals)))]
+                    + [repr(v) for v in vals]))
         return "\n".join(lines) + "\n"
 
     def table_text(self) -> str:
-        width = max(len(r) for r in self.rows) + 2
+        width = max(map(len, self.finals)) + 2
         lines = [f"{'row':<{width}}{'student':<9}{'val_top1 (mean +/- std)':<26}"]
-        for row in self.rows:
-            for student in ("s1", "s2"):
-                cell = f"{self.means[row][student]:.4f} +/- {self.stds[row][student]:.4f}"
+        for row, by in self.finals.items():
+            for student, vals in by.items():
+                cell = f"{np.mean(vals):.4f} +/- {np.std(vals):.4f}"
                 lines.append(f"{row:<{width}}{student:<9}{cell:<26}")
         return "\n".join(lines) + "\n"
 
@@ -752,7 +757,7 @@ def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, f
 
 def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
            jobs: int | None = None) -> AblationResult:
-    """The four-row loss-component ladder, averaged over seed blocks.
+    """The four-row loss-component ladder, each row's finals kept per seed block.
 
     Rows: hard labels only; plus teacher KD (weights fixed, confidence off);
     plus confidence weighting; plus the peer term (dual mode). Each block
@@ -778,18 +783,9 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
                                  initializer=_one_blas_thread) as pool:
             per_block = list(pool.map(_run_block, *zip(*[
                 (base_config, b, out_root) for b in seeds])))
-    finals = {
-        row: {
-            student: [blk[row][student] for blk in per_block]
-            for student in ("s1", "s2")
-        }
-        for row in ABLATION_ROWS
-    }
-    means = {row: {s: float(np.mean(v)) for s, v in by.items()}
-             for row, by in finals.items()}
-    stds = {row: {s: float(np.std(v)) for s, v in by.items()}
-            for row, by in finals.items()}
-    result = AblationResult(list(ABLATION_ROWS), list(seeds), finals, means, stds)
+    result = AblationResult(list(seeds), {
+        row: {student: [blk[row][student] for blk in per_block] for student in ("s1", "s2")}
+        for row in ABLATION_ROWS})
     if out_root is not None:
         _write_atomic(Path(out_root) / "ablation.csv", result.csv_text().encode("ascii"))
         _write_atomic(Path(out_root) / "ablation.txt", result.table_text().encode("ascii"))

@@ -177,6 +177,26 @@ def test_config_unknown_section_rejected():
         read_back(text)
 
 
+@pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 1\nbogus = 3\n",
+                                  "[DEFAULT]\nepochs = 1\n[run]\nmode = dual\n"],
+                         ids=["alone", "beside-run"])
+def test_config_default_section_is_an_unknown_section(capsys, text):
+    Path("d.ini").write_text(text, encoding="ascii")
+    assert main(["train", "--mode", "dual", "--config", "d.ini", "--out", "refused"] + TINY) == 2
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+    assert not Path("refused").exists()
+
+
+LATIN1_CONFIG = "[run]\nmode = dual\n# caf\xe9\n".encode("latin-1")
+
+
+def test_config_file_that_is_not_utf8_exits_2(capsys):
+    Path("latin1.ini").write_bytes(LATIN1_CONFIG)
+    assert main(["train", "--config", "latin1.ini", "--out", "refused"] + TINY) == 2
+    assert capsys.readouterr().err.startswith("error: config file latin1.ini is not UTF-8")
+    assert not Path("refused").exists()
+
+
 def test_config_bad_value_rejected():
     text = render_config(tiny_config(mode="dual")).replace(
         "epochs = 2", "epochs = many")
@@ -322,6 +342,19 @@ def test_numeric_abort_is_the_only_line_on_stderr(tmp_path, command):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 3
     assert re.fullmatch(r"numeric abort: teacher forward diverged: [^\n]*\n", done.stderr)
+
+
+def test_the_module_entry_point_keeps_the_exit_codes(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    (tmp_path / "latin1.ini").write_bytes(LATIN1_CONFIG)
+    helped, refused = (subprocess.run(
+        [sys.executable, "-m", "ukd.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120)
+        for argv in (["--help"], ["train", "--config", "latin1.ini", *TINY]))
+    assert helped.returncode == 0 and "gen-data" in helped.stdout
+    assert refused.returncode == 2 and refused.stderr.startswith("error: config file")
+    assert "Traceback" not in refused.stderr
 
 
 def test_train_refuses_occupied_directory(tmp_path, capsys):
@@ -678,12 +711,15 @@ def test_report_on_a_diverged_run_exits_2(tmp_path, capsys):
 
 
 def _damaged(run, name, damage):
-    """A copy of run's summary.json and metrics.csv with one of them rewritten by damage."""
+    """A copy of run's summary.json and metrics.csv with one of them rewritten by
+    damage, or left out where damage returns None."""
     copy = Path(f"damaged-{name.replace('.', '-')}")
     copy.mkdir()
     for file in ("summary.json", "metrics.csv"):
         text = (run / file).read_text(encoding="ascii")
-        (copy / file).write_text(damage(text) if file == name else text, encoding="ascii")
+        text = damage(text) if file == name else text
+        if text is not None:
+            (copy / file).write_text(text, encoding="utf-8")
     return copy
 
 
@@ -694,6 +730,8 @@ def _damaged(run, name, damage):
      "final_val_top1"),
     ("metrics.csv", lambda text: text.replace("val_top1", "val_acc"), "val_top1"),
     ("metrics.csv", lambda text: text + "1,s1,0.5\n", "too few fields"),
+    ("metrics.csv", lambda text: None, "missing metrics.csv"),
+    ("metrics.csv", lambda text: text + "# caf\xe9\n", "unreadable run file"),
 ])
 def test_report_refuses_a_damaged_run_before_claiming_out(tiny_run, capsys, name, damage,
                                                          named):
@@ -705,6 +743,14 @@ def test_report_refuses_a_damaged_run_before_claiming_out(tiny_run, capsys, name
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}") and named in err
         assert not Path("rep").exists()
+
+
+def test_report_refuses_runs_that_disagree_on_student_names(tiny_run, capsys):
+    renamed = _damaged(tiny_run, "summary.json", lambda text: text.replace('"s2"', '"s3"'))
+    assert main(["report", "--baseline", str(tiny_run), "--ours", str(renamed),
+                 "--out", "rep"]) == 2
+    assert "disagree on student names" in capsys.readouterr().err
+    assert not Path("rep").exists()
 
 
 def test_report_incompatible_epochs_exits_2(tmp_path):

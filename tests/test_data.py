@@ -169,6 +169,13 @@ def test_vanishing_overlap_makes_val_separable():
     assert (predicted == ds.labels[ds.val_indices]).mean() == 1.0
 
 
+def test_nearest_mean_classify_matches_one_broadcast_over_every_row():
+    spec = DatasetSpec(num_classes=8, samples_per_class=300, feature_dim=64, seed=5)
+    points, means = generate(spec).features, class_means(spec)  # 2,400 rows: several chunks
+    whole = ((points[:, None, :] - means[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    assert np.array_equal(nearest_mean_classify(points, means), whole)
+
+
 def test_bayes_oracle_ceiling_on_default_dataset():
     spec = DatasetSpec()
     est = bayes_oracle_accuracy(spec)
@@ -341,6 +348,21 @@ def test_ukdd_rejects_corruption(tmp_path):
     bad_label.write_bytes(bytes(rogue_label))
     with pytest.raises(FormatError, match="label"):
         load_dataset(bad_label)
+
+    short_header = tmp_path / "header.ukdd"
+    short_header.write_bytes(bytes(blob[:19]))
+    with pytest.raises(FormatError, match="header needs 20 bytes"):
+        load_dataset(short_header)
+
+    one_class = tmp_path / "dims.ukdd"
+    one_class.write_bytes(bytes(blob[:8]) + struct.pack("<I", 1) + bytes(blob[12:]))
+    with pytest.raises(FormatError, match="implausible dimensions C=1 .* at offset 8"):
+        load_dataset(one_class)
+
+    one_row = tmp_path / "one-row.ukdd"  # its one row is held out for val
+    one_row.write_bytes(bytes(blob[:8]) + struct.pack("<IIII2d", 2, 1, 2, 0, 0.5, 1.5))
+    with pytest.raises(DataError, match="training split is empty"):
+        load_dataset(one_row, val_fraction=0.9)
 
     labels_end = 20 + 4 * ds.labels.size
     for name, value, row, col in (("nan", np.nan, 0, 3), ("inf", -np.inf, 5, 0)):

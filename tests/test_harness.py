@@ -854,6 +854,12 @@ def _ckpt_bytes(tmp_path):
     (lambda b: b"XKDC" + bytes(b[4:]), "offset 0"),
     (lambda b: bytes(b[:4]) + (99).to_bytes(4, "little") + bytes(b[8:]), "offset 4"),
     (lambda b: bytes(b[:20]), "truncated"),
+    (lambda b: bytes(b[:11]), "header needs 12 bytes"),
+    (lambda b: bytes(b[:8]) + struct.pack("<I", 0) + bytes(b[12:]),
+     "implausible layer count 0 at offset 8"),
+    # the first layer's out_dim, at offset 16, becomes 0
+    (lambda b: bytes(b[:16]) + struct.pack("<I", 0) + bytes(b[20:]),
+     "bad layer dims 4x0 at offset 12"),
     (lambda b: bytes(b) + b"\x00", "trailing"),
     (lambda b: bytes(b[:20]) + b"\x07" + bytes(b[21:]), "activation code"),
     # the second layer's activation code, none -> relu: build refuses such a net

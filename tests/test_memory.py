@@ -12,7 +12,7 @@ either peak is the features plus what the train statistics take.
 import gc
 import tracemalloc
 
-from ukd.data import DatasetSpec, generate, load_dataset, save_dataset
+from ukd.data import DatasetSpec, bayes_oracle_accuracy, generate, load_dataset, save_dataset
 from ukd.harness import TrainConfig, _augmented_batches, evaluate
 from ukd.nets import build, mlp_spec
 
@@ -63,3 +63,10 @@ def test_load_dataset_holds_the_features_once(tmp_path):
     features_bytes = ds.features.nbytes
     del ds
     assert _peak_bytes(lambda: load_dataset(tmp_path / "ds.ukdd")) <= 3 * features_bytes
+
+
+def test_the_bayes_estimate_scores_its_points_a_chunk_at_a_time():
+    # 20,000 points against 40 means in 32 dims: 205 MB if scored in one broadcast
+    spec = DatasetSpec(num_classes=40, feature_dim=32)
+    points_bytes = 20_000 * spec.feature_dim * 8
+    assert _peak_bytes(lambda: bayes_oracle_accuracy(spec)) < 4 * points_bytes
