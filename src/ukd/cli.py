@@ -326,11 +326,11 @@ def _read_run(run_dir) -> tuple[dict, list[dict]]:
 def cmd_report(args) -> int:
     base_summary, base_rows = _read_run(args.baseline)
     ours_summary, ours_rows = _read_run(args.ours)
-    if set(base_summary["students"]) != set(ours_summary["students"]):
-        raise SpecError("run directories disagree on student names")
-    if base_summary["epochs"] != ours_summary["epochs"]:
-        raise SpecError(f"run directories disagree on epochs "
-                        f"({base_summary['epochs']} vs {ours_summary['epochs']})")
+    for what, base, ours in (
+            ("student names", sorted(base_summary["students"]), sorted(ours_summary["students"])),
+            ("epochs", base_summary["epochs"], ours_summary["epochs"])):
+        if base != ours:
+            raise SpecError(f"{args.baseline} and {args.ours} disagree on {what} ({base} vs {ours})")
     out = _claim_dir(args.out if args.out is not None else _run_root() / "report")
 
     table = [f"{'student':<9}{'baseline':>10}{'ours':>10}{'delta':>10}"]

@@ -33,6 +33,7 @@ from .errors import DataError, FormatError, ParameterError, SpecError
 UKDD_MAGIC = b"UKDD"
 UKDD_VERSION = 1
 SPLITS = ("train", "val")
+_ORACLE_SAMPLES, _ORACLE_STREAM = 20_000, 2_000_000  # bayes_oracle_accuracy's draws
 
 
 @dataclass(frozen=True)
@@ -154,22 +155,18 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
     )
 
 
-def batches(ds: Dataset, split: str, batch_size: int, shuffle_seed: int,
+def batches(ds: Dataset, batch_size: int, shuffle_seed: int,
             epoch: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Normalized (features, labels) batches; train order is a per-epoch permutation.
+    """Normalized (features, labels) batches of the train split, shuffled per epoch.
 
-    Validation order is fixed. The last partial batch is kept. Arguments are
-    checked now; each batch is normalized when the iterator draws it.
+    The order comes from [shuffle_seed, epoch]. The last partial batch is
+    kept. Arguments are checked now; each batch is normalized when drawn.
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if epoch < 0 or shuffle_seed < 0:
         raise ParameterError("shuffle_seed and epoch must be nonnegative")
-    idx = ds.split_indices(split)
-    if idx.size == 0:
-        raise DataError(f"split {split!r} is empty")
-    if split == "train":
-        idx = idx[np.random.default_rng([shuffle_seed, epoch]).permutation(idx.size)]
+    idx = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.train_indices)
     return ((ds.normalized(idx[i: i + batch_size]), ds.labels[idx[i: i + batch_size]])
             for i in range(0, idx.size, batch_size))
 
@@ -181,19 +178,17 @@ def augment(x: np.ndarray, strength: float, rng: np.random.Generator) -> np.ndar
     return x + rng.normal(0.0, strength, x.shape)
 
 
-def bayes_oracle_accuracy(spec: DatasetSpec, mc_samples: int = 20_000,
-                          mc_seed: int = 2_000_000) -> float:
+def bayes_oracle_accuracy(spec: DatasetSpec) -> float:
     """Monte Carlo accuracy of the true-posterior classifier on fresh draws.
 
     Equal priors and isotropic equal covariance make the Bayes rule exactly
-    nearest-class-mean; this estimates the ceiling any trained model can reach.
+    nearest-class-mean; this estimates the ceiling any trained model can
+    reach from 20,000 points drawn from the stream [spec.seed, 2_000_000].
     """
-    if mc_samples < 1:
-        raise ParameterError(f"mc_samples must be >= 1, got {mc_samples}")
     means = class_means(spec)
-    rng = np.random.default_rng([spec.seed, mc_seed])
-    labels = rng.integers(0, spec.num_classes, mc_samples)
-    points = means[labels] + spec.overlap_sigma * rng.standard_normal((mc_samples, spec.feature_dim))
+    rng = np.random.default_rng([spec.seed, _ORACLE_STREAM])
+    labels = rng.integers(0, spec.num_classes, _ORACLE_SAMPLES)
+    points = means[labels] + spec.overlap_sigma * rng.standard_normal((_ORACLE_SAMPLES, spec.feature_dim))
     predicted = nearest_mean_classify(points, means)
     return float((predicted == labels).mean())
 

@@ -16,8 +16,8 @@ A node reads the row-softmax memo through ``gradcore._softmax_rows`` and is
 checked and linked by ``gradcore._result``; its value and gradient are
 bit-identical to the gradcore primitive chain log_softmax, exp, sub, mul,
 row_sum, mean and scale, which remains their reference. Bad arguments raise
-``ShapeError``, ``LabelError`` or ``ParameterError`` (a τ whose square
-overflows included); ``NumericError`` means the arithmetic overflowed.
+``ShapeError``, ``LabelError`` or ``ParameterError`` (τ² overflowing or
+underflowing included); ``NumericError`` means the arithmetic overflowed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (ContractError, DistributionError, LabelError, NumericError,
 from .gradcore import Tensor, _check_logits, _log_softmax_adjoint, _result, _softmax_rows
 
 KL_DIRECTIONS = ("as_paper", "conventional")
+_TAU2_MIN = float(np.finfo(np.float64).tiny)  # sys.float_info.min: tau² below it underflows
 
 
 @dataclass
@@ -161,8 +162,8 @@ def _kl_loss(z: Tensor, ref_logits: Tensor, tau: float, w: np.ndarray | None,
     produced.
     """
     t = _check_logits(z, tau)
-    if not math.isfinite(t * t):
-        raise ParameterError(f"tau^2 must be finite, got tau = {tau}")
+    if not _TAU2_MIN <= t * t < math.inf:
+        raise ParameterError(f"tau^2 must neither overflow nor underflow, got tau = {tau}")
     if direction not in KL_DIRECTIONS:
         raise ParameterError(f"direction {direction!r} not in {KL_DIRECTIONS}")
     batch = z.data.shape[0]

@@ -159,8 +159,8 @@ class TrainConfig:
                 raise SpecError(f"{name} must be nonnegative")
         if not self.tau > 0:
             raise SpecError(f"tau must be positive, got {self.tau}")
-        if not math.isfinite(self.tau * self.tau):
-            raise SpecError(f"tau^2 must be finite, got tau = {self.tau}")
+        if not sys.float_info.min <= self.tau * self.tau < math.inf:
+            raise SpecError(f"tau^2 must neither overflow nor underflow, got tau = {self.tau}")
         if not self.eta0 > 0:
             raise SpecError(f"eta0 must be positive, got {self.eta0}")
         for name in ("epochs", "batch_size", "teacher_epochs"):
@@ -217,7 +217,6 @@ METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 class RunResult:
     """Everything a finished run produced, with or without a run directory."""
 
-    run_dir: Path | None
     records: list[MetricsRecord]
     breakdowns: dict[str, list[LossBreakdown]]
     summary: dict
@@ -379,7 +378,7 @@ def _augmented_batches(ds: Dataset, config: TrainConfig, stream: int, epoch: int
     draw from their own stream.
     """
     rng = np.random.default_rng([stream, epoch, 1])
-    for x, y in batches(ds, "train", config.batch_size, stream, epoch):
+    for x, y in batches(ds, config.batch_size, stream, epoch):
         yield augment(x, config.augment_strength, rng), y
 
 
@@ -627,7 +626,7 @@ def train(config: TrainConfig, out_dir=None,
             snapshot = Network(net.layers, [Tensor(a) for a in best[name][1]])
             save_checkpoint(snapshot, run_dir / f"student_{name}_best.ukdc")
         _write_summary(run_dir, summary)
-    return RunResult(run_dir, records, breakdowns, summary, teacher, students)
+    return RunResult(records, breakdowns, summary, teacher, students)
 
 
 def _write_metrics(run_dir: Path | None, records: list[MetricsRecord]) -> None:

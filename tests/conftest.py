@@ -2,15 +2,18 @@
 
 Acceptance tests register one line per criterion; the hook prints them after
 the normal test report so the verdicts are visible without -s. A last line
-reports the size of the package (its source lines, public names and CLI
-options), the graph nodes one default dual step builds, the row softmaxes
-it computes and the Python function calls it makes.
+reports the size of the package (its source lines, code lines, public names
+and CLI options), the graph nodes one default dual step builds, the row
+softmaxes it computes and the Python function calls it makes.
 """
 
 import argparse
+import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -126,8 +129,31 @@ def dual_step_calls():
     return _dual_step_calls()
 
 
+# Tokens that make no line a code line on their own.
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER}
+
+
+def _code_lines(source: str) -> int:
+    """Lines holding a token that is not a comment, outside every docstring."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def _surface() -> str:
-    lines = sum(p.read_bytes().count(b"\n") for p in (SRC / "ukd").glob("*.py"))
+    sources = [p.read_text(encoding="utf-8") for p in (SRC / "ukd").glob("*.py")]
+    lines = sum(text.count("\n") for text in sources)
+    code = sum(map(_code_lines, sources))
     # a fresh interpreter, so submodules imported by tests are not counted
     count = subprocess.run(
         [sys.executable, "-c",
@@ -142,9 +168,9 @@ def _surface() -> str:
                   for command in commands for a in command._actions)
     created, _, softmaxes = _dual_step_graph()
     calls = sum(_dual_step_calls().values())
-    return (f"surface: src/ukd {lines} lines, {count} public names, {options} cli options, "
-            f"{created} nodes per dual step, {softmaxes} softmaxes per dual step, "
-            f"{calls} python calls per dual step")
+    return (f"surface: src/ukd {lines} lines ({code} code lines), {count} public names, "
+            f"{options} cli options, {created} nodes per dual step, "
+            f"{softmaxes} softmaxes per dual step, {calls} python calls per dual step")
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -282,6 +282,7 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     (["train", "--mode", "dual", "--sigma", "0"], "overlap_sigma"),
     (["train", "--mode", "dual", "--val-fraction", "1.5"], "val_fraction"),
     (["train", "--mode", "dual", "--tau", "1e200"], "tau"),
+    (["train", "--mode", "kd", "--tau", "1e-200"], "tau"),
     (["train", "--mode", "dual", "--config", "zero-width.ini"], "student1_spec"),
     (["ablate", "--seeds", "1", "--eta0", "0"], "eta0"),
     (["ablate", "--seeds", "0"], "--seeds"),
@@ -291,7 +292,7 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
      "val_fraction"),
     (["train", "--mode", "dual", "--per-class", "1", "--val-fraction", "0.9"], "val_fraction"),
 ], ids=["eta0-zero", "eta0-negative", "one-class", "zero-sigma", "val-fraction",
-        "tau-square-overflows", "zero-width-student", "ablate-eta0-zero", "ablate-no-seeds",
+        "tau-square-overflows", "tau-square-underflows", "zero-width-student", "ablate-eta0-zero", "ablate-no-seeds",
         "ablate-negative-seeds", "ablate-no-jobs", "val-split-rounds-empty",
         "train-split-rounds-empty"])
 def test_a_config_that_cannot_run_claims_no_directory(monkeypatch, capsys, argv, named):
@@ -496,6 +497,9 @@ def test_pretrain_teacher_command(tmp_path, capsys):
     assert (out / "teacher.ukdc").exists()
     assert "teacher val_top1:" in printed
     assert "teacher params:" in printed
+    assert main(["pretrain-teacher"] + TINY_TEACHER) == 0  # no --out: under the run root
+    assert (tmp_path / "root" / "teacher-seed1" / "teacher.ukdc").read_bytes() == (
+        out / "teacher.ukdc").read_bytes()
 
 
 def test_diverged_pretrain_teacher_leaves_a_summary(capsys):
@@ -548,6 +552,9 @@ def test_eval_command(tmp_path, capsys):
     with open(run / "summary.json") as fh:
         final = json.load(fh)["students"]["s1"]["final_val_top1"]
     assert top1 == pytest.approx(final, abs=1e-12)
+    assert main(["eval", "--checkpoint", str(run / "student_s1_final.ukdc"),
+                 "--data", str(ds_file), "--val-fraction", "1.5"]) == 2
+    assert "val_fraction must lie in (0,1)" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path):
@@ -749,18 +756,22 @@ def test_report_refuses_runs_that_disagree_on_student_names(tiny_run, capsys):
     renamed = _damaged(tiny_run, "summary.json", lambda text: text.replace('"s2"', '"s3"'))
     assert main(["report", "--baseline", str(tiny_run), "--ours", str(renamed),
                  "--out", "rep"]) == 2
-    assert "disagree on student names" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {tiny_run} and {renamed} disagree on student names" in err
+    assert "['s1', 's2'] vs ['s1', 's3']" in err
     assert not Path("rep").exists()
 
 
-def test_report_incompatible_epochs_exits_2(tmp_path):
+def test_report_incompatible_epochs_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["train", "--mode", "kd", "--out", str(a)] + TINY) == 0
     assert main(["train", "--mode", "dual", "--out", str(b), "--epochs", "3",
                  "--classes", "4", "--per-class", "40", "--dim", "8",
                  "--sigma", "0.5", "--teacher-epochs", "2",
                  "--batch-size", "32"]) == 0
+    capsys.readouterr()
     assert main(["report", "--baseline", str(a), "--ours", str(b)]) == 2
+    assert f"error: {a} and {b} disagree on epochs (2 vs 3)" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ukd import data
 from ukd.data import (
-    SPLITS,
     Dataset,
     DatasetSpec,
     augment,
@@ -176,11 +176,12 @@ def test_nearest_mean_classify_matches_one_broadcast_over_every_row():
     assert np.array_equal(nearest_mean_classify(points, means), whole)
 
 
-def test_bayes_oracle_ceiling_on_default_dataset():
+def test_bayes_oracle_ceiling_on_default_dataset(monkeypatch):
     spec = DatasetSpec()
     est = bayes_oracle_accuracy(spec)
     assert 0.1 < est < 1.0
-    again = bayes_oracle_accuracy(spec, mc_seed=2_000_001)
+    monkeypatch.setattr(data, "_ORACLE_STREAM", 2_000_001)
+    again = bayes_oracle_accuracy(spec)
     assert abs(est - again) < 0.02
     ds = generate(spec)
     val_acc = (nearest_mean_classify(ds.features[ds.val_indices], class_means(spec))
@@ -193,7 +194,7 @@ def test_bayes_oracle_ceiling_on_default_dataset():
 
 def test_batches_partition_the_split():
     ds = generate(SMALL)
-    got = list(batches(ds, "train", 32, shuffle_seed=3, epoch=0))
+    got = list(batches(ds, 32, shuffle_seed=3, epoch=0))
     feats, labels = ds.normalized(ds.train_indices), ds.labels[ds.train_indices]
     cat_feats = np.vstack([b[0] for b in got])
     cat_labels = np.concatenate([b[1] for b in got])
@@ -204,13 +205,12 @@ def test_batches_partition_the_split():
     np.testing.assert_array_equal(np.sort(cat_labels), np.sort(labels))
 
 
-def _whole_split_batches(ds, split, batch_size, shuffle_seed, epoch):
-    """batches as it was: normalize the whole split, permute it, then slice it."""
-    idx = ds.split_indices(split)
+def _whole_split_batches(ds, batch_size, shuffle_seed, epoch):
+    """batches as it was: normalize the whole train split, permute it, then slice it."""
+    idx = ds.train_indices
     feats, labels = (ds.features[idx] - ds.norm_mean) / ds.norm_std, ds.labels[idx]
-    if split == "train":
-        order = np.random.default_rng([shuffle_seed, epoch]).permutation(idx.size)
-        feats, labels = feats[order], labels[order]
+    order = np.random.default_rng([shuffle_seed, epoch]).permutation(idx.size)
+    feats, labels = feats[order], labels[order]
     return [(feats[i: i + batch_size], labels[i: i + batch_size])
             for i in range(0, idx.size, batch_size)]
 
@@ -220,11 +220,10 @@ WIDE = generate(DatasetSpec(num_classes=5, samples_per_class=120, feature_dim=6,
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(SPLITS), st.integers(1, 600), st.integers(0, 2**32 - 1),
-       st.integers(0, 200))
-def test_batches_are_slices_of_the_whole_normalized_split(split, batch_size, seed, epoch):
-    got = list(batches(WIDE, split, batch_size, seed, epoch))
-    want = _whole_split_batches(WIDE, split, batch_size, seed, epoch)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_batches_are_slices_of_the_whole_normalized_split(batch_size, seed, epoch):
+    got = list(batches(WIDE, batch_size, seed, epoch))
+    want = _whole_split_batches(WIDE, batch_size, seed, epoch)
     assert len(got) == len(want)
     for (x, y), (wx, wy) in zip(got, want):
         assert np.array_equal(x, wx) and x.tobytes() == wx.tobytes()
@@ -234,7 +233,7 @@ def test_batches_are_slices_of_the_whole_normalized_split(split, batch_size, see
 def test_batches_keep_last_partial_batch():
     ds = generate(DatasetSpec(num_classes=4, samples_per_class=25, feature_dim=4,
                               overlap_sigma=0.5, seed=2, val_fraction=0.1))
-    got = batches(ds, "train", 10, shuffle_seed=0, epoch=0)
+    got = batches(ds, 10, shuffle_seed=0, epoch=0)
     sizes = [b[0].shape[0] for b in got]
     assert sum(sizes) == 92  # 4 * (25 - round(2.5)) with banker's rounding
     assert sizes[-1] == 2 and all(s == 10 for s in sizes[:-1])
@@ -244,36 +243,20 @@ def test_batches_deterministic_per_seed_epoch_and_distinct_across_epochs():
     ds = generate(DatasetSpec(num_classes=4, samples_per_class=50, feature_dim=4,
                               overlap_sigma=0.5, seed=5, val_fraction=0.1))
     flat = lambda bs: np.vstack([b[0] for b in bs]).tobytes()
-    assert flat(batches(ds, "train", 16, 7, 3)) == flat(batches(ds, "train", 16, 7, 3))
-    assert flat(batches(ds, "train", 16, 7, 3)) != flat(batches(ds, "train", 16, 8, 3))
+    assert flat(batches(ds, 16, 7, 3)) == flat(batches(ds, 16, 7, 3))
+    assert flat(batches(ds, 16, 7, 3)) != flat(batches(ds, 16, 8, 3))
     # 180 train samples: identical permutations across epochs are (1/180!)-likely.
-    assert flat(batches(ds, "train", 16, 7, 0)) != flat(batches(ds, "train", 16, 7, 1))
+    assert flat(batches(ds, 16, 7, 0)) != flat(batches(ds, 16, 7, 1))
 
 
-def test_val_batches_keep_fixed_order_across_epochs():
-    ds = generate(SMALL)
-    a = list(batches(ds, "val", 8, shuffle_seed=1, epoch=0))
-    b = list(batches(ds, "val", 8, shuffle_seed=9, epoch=5))
-    feats, labels = ds.normalized(ds.val_indices), ds.labels[ds.val_indices]
-    np.testing.assert_array_equal(np.vstack([x[0] for x in a]), feats)
-    np.testing.assert_array_equal(np.vstack([x[0] for x in b]), feats)
-    np.testing.assert_array_equal(np.concatenate([x[1] for x in a]), labels)
-
-
-def test_batches_reject_bad_arguments_and_empty_split(tmp_path):
+def test_batches_reject_bad_arguments():
     ds = generate(SMALL)
     with pytest.raises(ParameterError):
-        batches(ds, "train", 0, 1, 0)
+        batches(ds, 0, 1, 0)
     with pytest.raises(ParameterError):
-        batches(ds, "train", 8, 1, -1)
+        batches(ds, 8, 1, -1)
     with pytest.raises(ParameterError):
-        batches(ds, "test", 8, 1, 0)
-    # a spec refuses a split that rounds to empty, so only a file can give one
-    save_dataset(generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
-                                      overlap_sigma=0.5, seed=1)), tmp_path / "ds.ukdd")
-    starved = load_dataset(tmp_path / "ds.ukdd", val_fraction=0.04)
-    with pytest.raises(DataError):
-        batches(starved, "val", 8, 1, 0)
+        batches(ds, 8, -1, 0)
 
 
 # ---------------------------------------------------------------- augment
@@ -365,6 +348,15 @@ def test_ukdd_rejects_corruption(tmp_path):
         load_dataset(one_row, val_fraction=0.9)
 
     labels_end = 20 + 4 * ds.labels.size
+    flat_column = bytearray(blob)
+    for row in range(ds.labels.size):  # feature 2 reads 0.0 in every row
+        offset = labels_end + 8 * (row * ds.features.shape[1] + 2)
+        flat_column[offset: offset + 8] = bytes(8)
+    flat = tmp_path / "flat.ukdd"
+    flat.write_bytes(bytes(flat_column))
+    with pytest.raises(DataError, match="a feature has zero spread"):
+        load_dataset(flat)
+
     for name, value, row, col in (("nan", np.nan, 0, 3), ("inf", -np.inf, 5, 0)):
         offset = labels_end + 8 * (row * ds.features.shape[1] + col)
         rogue_feature = bytearray(blob)

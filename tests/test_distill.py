@@ -78,6 +78,8 @@ def test_entropy_rejects_bad_rows():
         entropy(np.array([[np.nan, 0.5, 0.5]]))  # NaN fails every comparison
     with pytest.raises(DistributionError):
         uncertainty_stats(np.array([[np.nan, 0.5, 0.5]]))
+    with pytest.raises(ShapeError):
+        entropy(np.ones(3))  # one row, not a [batch, C] matrix
 
 
 def test_entropy_and_weight_bounds_hold_over_random_rows():
@@ -303,6 +305,8 @@ def test_teacher_loss_rejects_bad_parameters():
         teacher_loss(s, t, np.array([0.5, np.nan]), 1.0)
     with pytest.raises(ShapeError):
         teacher_loss(s, t, np.ones(3), 1.0)
+    with pytest.raises(ShapeError, match="equal logit shapes"):
+        teacher_loss(s, Tensor(np.zeros((2, 4))), np.ones(2), 1.0)
     with pytest.raises(ParameterError):
         teacher_loss(s, t, np.ones(2), 1.0, direction="backwards")
 
@@ -435,19 +439,32 @@ def test_non_finite_parameters_are_parameter_errors(build):
             build(z, ref)
 
 
-@pytest.mark.parametrize("build", [
-    lambda z, ref: teacher_loss(z, ref, np.ones(2), 1e200),
-    lambda z, ref: peer_loss(z, ref, 1e200),
-    lambda z, ref: peer_loss(z, ref, 1e200, direction="conventional"),
+KL_TERMS = pytest.mark.parametrize("build", [
+    lambda z, ref, tau: teacher_loss(z, ref, np.ones(2), tau),
+    lambda z, ref, tau: peer_loss(z, ref, tau),
+    lambda z, ref, tau: peer_loss(z, ref, tau, direction="conventional"),
 ], ids=["teacher", "peer", "peer-conventional"])
+
+
+@KL_TERMS
 def test_finite_tau_whose_square_overflows_is_a_parameter_error(build):
     z, ref = _two_rows()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before any arithmetic
         with pytest.raises(ParameterError, match="tau"):
-            build(z, ref)
+            build(z, ref, 1e200)
     # an infinite temperature is a valid softmax: every row is uniform
     np.testing.assert_array_equal(log_softmax(z, np.inf).data, np.full((2, 3), -np.log(3.0)))
+
+
+@KL_TERMS
+def test_positive_tau_whose_square_underflows_is_a_parameter_error(build):
+    z, ref = _two_rows()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="tau"):
+            build(z, ref, 1e-200)  # tau^2 is 0.0: the term would read 0 whatever z is
+        assert build(z, ref, 1.5e-154).data > 0.0  # tau^2 is the smallest normal float
 
 
 def test_loss_breakdown_rejects_corrupt_components():

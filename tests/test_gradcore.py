@@ -76,6 +76,16 @@ def test_matmul_shape_mismatch_reports_both_shapes():
     assert "(2, 3)" in str(err.value)
 
 
+def test_dense_shape_mismatches_report_the_shapes():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match=r"\[m,k\]@\[k,n\], got \(2, 3\) @ \(2, 4\)"):
+        dense(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros(4)), False)
+    with pytest.raises(ShapeError, match=r"a \[4\] bias, got \(3,\)"):
+        dense(x, w, Tensor(np.zeros(3)), True)
+    with pytest.raises(ShapeError, match=r"a \[4\] bias, got \(1, 4\)"):
+        dense(x, w, Tensor(np.zeros((1, 4))), False)
+
+
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     a = Tensor(rng.uniform(-3, 3, (4, 5)), requires_grad=True)

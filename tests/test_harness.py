@@ -25,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ukd import gradcore, harness
-from ukd.data import Dataset, DatasetSpec, batches, generate, save_dataset
-from ukd.errors import DataError, FormatError, NumericError, SpecError
+from ukd.data import Dataset, DatasetSpec, batches, generate, load_dataset, save_dataset
+from ukd.errors import DataError, FormatError, NumericError, ParameterError, SpecError
 from ukd.gradcore import Tensor, backward, zero_grad
 from ukd.harness import (
     ABLATION_ROWS,
@@ -116,6 +116,7 @@ def test_explicit_weights_override_defaults():
     dict(mode="dual", kl_direction="backwards"),
     dict(mode="dual", eta0=0.0),
     dict(mode="dual", tau=1e200),
+    dict(mode="dual", tau=1e-200),
     dict(mode="dual", student1_spec=mlp_spec(8, [0], 4)),
     dict(mode="dual", student1_spec=[LayerSpec(8, 4, "relu")]),
 ])
@@ -290,7 +291,7 @@ def test_dual_step_leaves_teacher_untouched():
     s2 = build(cfg.student2_spec, cfg.seeds.student2)
     opt1 = SgdState(s1.parameters, 0.1, 0.9, 1e-4)
     opt2 = SgdState(s2.parameters, 0.1, 0.9, 1e-4)
-    for batch in batches(ds, "train", 32, cfg.seeds.shuffle, 0):
+    for batch in batches(ds, 32, cfg.seeds.shuffle, 0):
         dual_step(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert net_digest(teacher) == before
 
@@ -303,7 +304,7 @@ def test_dual_step_stats_within_bounds():
     s2 = build(cfg.student2_spec, cfg.seeds.student2)
     opt1 = SgdState(s1.parameters, 0.1, 0.9, 0.0)
     opt2 = SgdState(s2.parameters, 0.1, 0.9, 0.0)
-    batch = next(batches(ds, "train", 32, 4, 0))
+    batch = next(batches(ds, 32, 4, 0))
     bd1, bd2, stats = dual_step(teacher, s1, s2, batch, cfg, opt1, opt2)
     assert np.all(stats.weight >= 0.0) and np.all(stats.weight <= 1.0)
     assert np.all(stats.entropy >= 0.0)
@@ -326,7 +327,7 @@ def test_dual_without_peer_updates_students_independently():
     assert net_digest(b2) != net_digest(a2) and net_digest(c1) != net_digest(a1)
     mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     opts = {id(net): mk(net) for net in (a1, a2, b1, b2, c1, c2)}
-    for batch in batches(ds, "train", 32, 4, 0):
+    for batch in batches(ds, 32, 4, 0):
         for n1, n2 in ((a1, a2), (b1, b2), (c1, c2)):
             dual_step(teacher, n1, n2, batch, cfg, opts[id(n1)], opts[id(n2)])
     assert net_digest(a1) == net_digest(b1)
@@ -345,7 +346,7 @@ def test_hard_only_step_is_plain_supervised():
     b1, b2 = clone_net(a1), clone_net(a2)
     mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
-    for batch in batches(ds, "train", 32, 4, 0):
+    for batch in batches(ds, 32, 4, 0):
         dual_step(teacher, a1, a2, batch, cfg, oa1, oa2)
         for net, opt in ((b1, ob1), (b2, ob2)):
             x, y = batch
@@ -367,11 +368,11 @@ def test_baseline_equals_uncertainty_with_unit_weights(monkeypatch):
     b1, b2 = clone_net(a1), clone_net(a2)
     mk = lambda net: SgdState(net.parameters, 0.1, 0.9, 1e-4)
     oa1, oa2, ob1, ob2 = mk(a1), mk(a2), mk(b1), mk(b2)
-    for batch in batches(ds, "train", 32, 4, 0):
+    for batch in batches(ds, 32, 4, 0):
         dual_step(teacher, a1, a2, batch, kd_cfg, oa1, oa2)
     monkeypatch.setattr("ukd.harness.confidence_for_mode",
                         lambda mode, stats: np.ones_like(stats.weight))
-    for batch in batches(ds, "train", 32, 4, 0):
+    for batch in batches(ds, 32, 4, 0):
         dual_step(teacher, b1, b2, batch, ukd_cfg, ob1, ob2)
     assert net_digest(a1) == net_digest(b1)
     assert net_digest(a2) == net_digest(b2)
@@ -390,7 +391,7 @@ def test_diverging_term_names_itself(monkeypatch, term):
 
     monkeypatch.setattr(f"ukd.harness.{term}_loss", explode)
     with pytest.raises(NumericError, match=f"{term} loss term"):
-        dual_step(teacher, s1, s2, next(batches(ds, "train", 32, 4, 0)), cfg,
+        dual_step(teacher, s1, s2, next(batches(ds, 32, 4, 0)), cfg,
                   SgdState(s1.parameters, 0.1, 0.0, 0.0),
                   SgdState(s2.parameters, 0.1, 0.0, 0.0))
 
@@ -580,7 +581,7 @@ def test_evaluate_scores_a_net_with_another_class_count():
     assert evaluate(narrow, ds, "val") == {"top1": 0.4, "top5": 0.4}
 
 
-def test_evaluate_empty_split_is_a_data_error():
+def test_evaluate_empty_split_is_a_data_error(tmp_path):
     ds = one_hot_dataset()
     empty = Dataset(features=ds.features, labels=ds.labels,
                     train_indices=ds.train_indices,
@@ -589,6 +590,14 @@ def test_evaluate_empty_split_is_a_data_error():
     net = linear_net(np.eye(10), np.zeros(10))
     with pytest.raises(DataError, match="empty"):
         evaluate(net, empty, "val")
+    with pytest.raises(ParameterError, match="split must be one of"):
+        evaluate(net, ds, "test")
+    # a spec refuses a split that rounds to empty, so only a file can give one
+    save_dataset(generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
+                                      overlap_sigma=0.5, seed=1)), tmp_path / "ds.ukdd")
+    starved = load_dataset(tmp_path / "ds.ukdd", val_fraction=0.04)
+    with pytest.raises(DataError, match="split 'val' is empty"):
+        evaluate(build([LayerSpec(4, 2, "none")], 0), starved, "val")
 
 
 def _whole_split_scores(net, ds, split):
@@ -748,7 +757,7 @@ def test_validation_pipeline_never_augments(monkeypatch, tmp_path):
     monkeypatch.setattr(hmod, "augment", counting)
     cfg = small_config("dual", epochs=2, teacher_epochs=2)
     ds = generate(cfg.dataset)
-    n_train_batches = len(list(batches(ds, "train", cfg.batch_size, 0, 0)))
+    n_train_batches = len(list(batches(ds, cfg.batch_size, 0, 0)))
     train(cfg, None)
     calls = [int(line) for line in log.read_text().splitlines()]
     # one call per train batch, for teacher pretraining plus the student phase
