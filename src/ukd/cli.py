@@ -268,7 +268,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     net = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data, **_given(args, "dataset"))
+    ds = load_dataset(args.data)
     result = evaluate(net, ds, args.split)
     print(f"top1: {result['top1']:.4f}")
     print(f"top5: {result['top5']:.4f}")
@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, metavar="FILE", help=".ukdd file")
     p.add_argument("--split", choices=("train", "val"), default="val",
                    help="split to score (default: %(default)s)")
-    _add_flags(p, ["val_fraction"])
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="compare two runs and emit plot series")

@@ -12,9 +12,10 @@ from the training split only; rows are normalized with them as they are used,
 one batch (batches) or one 512-row chunk (harness.evaluate) at a time, never a
 whole split. Normalization is elementwise, so a row's normalized bits do not
 depend on which rows share its batch. The split itself is a pure function of
-the label layout (the last val-fraction of each class's rows), so a dataset
-exported to a file and re-imported reconstructs the identical split and
-statistics.
+the label layout and the val fraction (the last val-fraction of each class's
+rows), and a dataset file records its fraction, so a dataset exported to a
+file and re-imported reconstructs the identical split and statistics by
+itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from .errors import DataError, FormatError, ParameterError, SpecError
 
 UKDD_MAGIC = b"UKDD"
-UKDD_VERSION = 1
+UKDD_VERSION = 2
+_UKDD_HEADER = "<IIIId"  # after the magic: version, num_classes, N, dim, val_fraction
 SPLITS = ("train", "val")
 _ORACLE_SAMPLES, _ORACLE_STREAM = 20_000, 2_000_000  # bayes_oracle_accuracy's draws
 
@@ -68,7 +70,11 @@ class DatasetSpec:
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention sample store with split indices and norm stats."""
+    """Immutable-by-convention sample store with split indices and norm stats.
+
+    val_fraction is the fraction the split was made with; save_dataset
+    records it, so load_dataset remakes the same split.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -77,6 +83,7 @@ class Dataset:
     norm_mean: np.ndarray
     norm_std: np.ndarray
     num_classes: int
+    val_fraction: float
 
     def split_indices(self, split: str) -> np.ndarray:
         if split not in SPLITS:
@@ -125,9 +132,9 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
 
     Only the classes present are visited, so the time taken follows the rows,
     not num_classes; a class with no rows adds nothing to either split.
+    val_fraction is checked by the callers: DatasetSpec for generate, the
+    file's header for load_dataset.
     """
-    if not 0.0 < val_fraction < 1.0:
-        raise SpecError(f"val_fraction must lie in (0,1), got {val_fraction}")
     train_parts, val_parts = [], []
     order = np.argsort(labels, kind="stable")  # each class's rows, in row order
     _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
@@ -152,6 +159,7 @@ def _assemble(features: np.ndarray, labels: np.ndarray, num_classes: int,
         norm_mean=mean,
         norm_std=std,
         num_classes=num_classes,
+        val_fraction=val_fraction,
     )
 
 
@@ -224,40 +232,58 @@ def _write_atomic(path, blob: bytes) -> None:
         tmp.unlink(missing_ok=True)  # a no-op once the rename has happened
 
 
+def _read_header(blob: bytes, magic: bytes, version: int, fmt: str) -> list:
+    """The header fields after the magic and version of a file's bytes.
+
+    fmt is the little-endian struct format of the header after the magic,
+    version first. A blob too short for the header, with another magic or
+    another version is a FormatError naming the offset.
+    """
+    size = 4 + struct.calcsize(fmt)
+    if len(blob) < size:
+        raise FormatError(f"file truncated at offset {len(blob)}: header needs {size} bytes")
+    if blob[:4] != magic:
+        raise FormatError(f"bad magic {blob[:4]!r} at offset 0, expected {magic!r}")
+    found, *fields = struct.unpack_from(fmt, blob, 4)
+    if found != version:
+        raise FormatError(f"unsupported version {found} at offset 4")
+    return fields
+
+
+def _check_finite(values: np.ndarray, offset: int, what: str) -> None:
+    """Refuse values read from offset if one is NaN or ±inf, naming the first one's offset."""
+    finite = np.isfinite(values)  # float64 values, 8 bytes each
+    if not finite.all():
+        raise FormatError(f"non-finite {what} at offset {offset + 8 * int(finite.argmin())}")
+
+
 def save_dataset(ds: Dataset, path) -> None:
-    """Flat binary export: UKDD magic, version, C, N, dim, labels, raw features."""
-    n, dim = ds.features.shape
+    """Flat binary export: UKDD magic, version, C, N, dim, val_fraction, labels, raw features."""
     _write_atomic(path, b"".join([  # one copy: the join reads the arrays' buffers
-        UKDD_MAGIC, struct.pack("<IIII", UKDD_VERSION, ds.num_classes, n, dim),
+        UKDD_MAGIC, struct.pack(_UKDD_HEADER, UKDD_VERSION, ds.num_classes, *ds.features.shape,
+                                ds.val_fraction),
         np.ascontiguousarray(ds.labels, "<u4"), np.ascontiguousarray(ds.features, "<f8")]))
 
 
-def load_dataset(path, val_fraction: float = 0.1) -> Dataset:
-    """Rebuild a Dataset from a UKDD file; split and stats are recomputed."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20:
-        raise FormatError(f"file truncated at offset {len(blob)}: header needs 20 bytes")
-    if blob[:4] != UKDD_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r} at offset 0, expected {UKDD_MAGIC!r}")
-    version, num_classes, n, dim = struct.unpack("<IIII", blob[4:20])
-    if version != UKDD_VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
+def load_dataset(path) -> Dataset:
+    """Rebuild a Dataset from a UKDD file; the split is remade at the file's val_fraction."""
+    blob = Path(path).read_bytes()
+    num_classes, n, dim, val_fraction = _read_header(blob, UKDD_MAGIC, UKDD_VERSION, _UKDD_HEADER)
     if num_classes < 2 or dim < 2 or n < 1:
         raise FormatError(f"implausible dimensions C={num_classes} N={n} dim={dim} at offset 8")
-    labels_end = 20 + 4 * n
+    if not 0.0 < val_fraction < 1.0:  # NaN too
+        raise FormatError(f"val_fraction {val_fraction} outside (0, 1) at offset 20")
+    labels_end = 28 + 4 * n
     total = labels_end + 8 * n * dim
     if len(blob) != total:
         raise FormatError(
             f"expected {total} bytes for C={num_classes} N={n} dim={dim}, got {len(blob)} "
-            f"(payload starts at offset 20)"
+            f"(payload starts at offset 28)"
         )
-    labels = np.frombuffer(blob, "<u4", count=n, offset=20).astype(np.int64)
+    labels = np.frombuffer(blob, "<u4", count=n, offset=28).astype(np.int64)
     if (labels >= num_classes).any():
-        raise FormatError(f"label out of range [0, {num_classes}) at offset 20")
+        raise FormatError(f"label out of range [0, {num_classes}) at offset 28")
     features = np.frombuffer(blob, "<f8", count=n * dim, offset=labels_end).reshape(n, dim).copy()
     del blob  # features and labels own their bytes: free the file's before the split
-    finite = np.isfinite(features)
-    if not finite.all():  # the split's statistics would turn NaN, not fail
-        raise FormatError(f"non-finite feature at offset {labels_end + 8 * int(finite.argmin())}")
+    _check_finite(features, labels_end, "feature")  # the split's statistics would turn NaN
     return _assemble(features, labels, num_classes, val_fraction)

@@ -42,7 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetSpec, _write_atomic, augment, batches, generate
+from .data import (Dataset, DatasetSpec, _check_finite, _read_header, _write_atomic, augment,
+                   batches, generate)
 from .distill import (
     KL_DIRECTIONS,
     LossBreakdown,
@@ -830,13 +831,7 @@ def load_checkpoint(path) -> Network:
     one with a NaN or infinite parameter, raises FormatError naming the offset.
     """
     blob = Path(path).read_bytes()
-    if len(blob) < 12:
-        raise FormatError(f"file truncated at offset {len(blob)}: header needs 12 bytes")
-    if blob[:4] != UKDC_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r} at offset 0, expected {UKDC_MAGIC!r}")
-    version, n_layers = struct.unpack("<II", blob[4:12])
-    if version != UKDC_VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
+    (n_layers,) = _read_header(blob, UKDC_MAGIC, UKDC_VERSION, "<II")
     if not 1 <= n_layers <= 1024:
         raise FormatError(f"implausible layer count {n_layers} at offset 8")
     offset = 12
@@ -864,10 +859,7 @@ def load_checkpoint(path) -> Network:
             if offset + size > len(blob):
                 raise FormatError(f"file truncated at offset {offset} reading {name}")
             arr = np.frombuffer(blob, "<f8", count=size // 8, offset=offset).reshape(shape)
-            finite = np.isfinite(arr)
-            if not finite.all():  # the net would run, and fail only in its first forward
-                raise FormatError(f"non-finite {name} value at offset "
-                                  f"{offset + 8 * int(finite.argmin())}")
+            _check_finite(arr, offset, f"{name} value")  # else it fails in its first forward
             parameters.append(Tensor(arr.copy(), requires_grad=True))
             offset += size
     if offset != len(blob):

@@ -4,6 +4,7 @@ Exit codes are part of the contract: 0 success, 2 usage/config, 3 numeric
 abort. Determinism is checked at the file-byte level.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -23,7 +24,15 @@ from ukd.cli import _assemble_config, build_parser, main, render_config
 from ukd.data import DatasetSpec, generate, load_dataset
 from ukd.distill import KL_DIRECTIONS
 from ukd.errors import ContractError, NumericError, SpecError
-from ukd.harness import MODES, Seeds, TrainConfig, pretrain_teacher, train
+from ukd.harness import (
+    MODES,
+    Seeds,
+    TrainConfig,
+    evaluate,
+    load_checkpoint,
+    pretrain_teacher,
+    train,
+)
 from ukd.nets import DEFAULT_WIDTHS, mlp_spec
 
 TINY_TEACHER = ["--classes", "4", "--per-class", "40", "--dim", "8", "--sigma", "0.5",
@@ -552,9 +561,30 @@ def test_eval_command(tmp_path, capsys):
     with open(run / "summary.json") as fh:
         final = json.load(fh)["students"]["s1"]["final_val_top1"]
     assert top1 == pytest.approx(final, abs=1e-12)
-    assert main(["eval", "--checkpoint", str(run / "student_s1_final.ukdc"),
-                 "--data", str(ds_file), "--val-fraction", "1.5"]) == 2
-    assert "val_fraction must lie in (0,1)" in capsys.readouterr().err
+    # --split train scores the rows the run trained on, as its last epoch did
+    checkpoint = str(run / "student_s1_final.ukdc")
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(ds_file),
+                 "--split", "train"]) == 0
+    with open(run / "metrics.csv", newline="") as fh:
+        train_top1 = [float(row["train_top1"]) for row in csv.DictReader(fh)
+                      if row["student"] == "s1"][-1]
+    assert f"top1: {train_top1:.4f}\n" in capsys.readouterr().out
+    # a file made at another fraction is scored on its own split
+    half_file = tmp_path / "half.ukdd"
+    assert main(["gen-data", "--classes", "4", "--per-class", "40", "--dim", "8",
+                 "--sigma", "0.5", "--seed", "0", "--val-fraction", "0.5",
+                 "-o", str(half_file)]) == 0
+    assert half_file.read_bytes() != ds_file.read_bytes()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(half_file)]) == 0
+    half = evaluate(load_checkpoint(checkpoint), generate(DatasetSpec(
+        num_classes=4, samples_per_class=40, feature_dim=8, overlap_sigma=0.5, seed=0,
+        val_fraction=0.5)), "val")
+    assert capsys.readouterr().out == f"top1: {half['top1']:.4f}\ntop5: {half['top5']:.4f}\n"
+    # the split comes from the file, so eval takes no fraction
+    assert main(["eval", "--checkpoint", checkpoint, "--data", str(ds_file),
+                 "--val-fraction", "0.5"]) == 2
+    assert "unrecognized arguments: --val-fraction" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path):

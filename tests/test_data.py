@@ -127,8 +127,8 @@ def test_split_of_interleaved_labels_with_absent_classes_is_the_per_class_rule(t
     labels = np.random.default_rng(3).choice([0, 2, 5], ds.labels.size)  # 1, 3, 4 absent
     path = tmp_path / "sparse.ukdd"
     save_dataset(Dataset(ds.features, labels, ds.train_indices, ds.val_indices,
-                         ds.norm_mean, ds.norm_std, 6), path)
-    back = load_dataset(path, val_fraction=0.25)
+                         ds.norm_mean, ds.norm_std, 6, 0.25), path)
+    back = load_dataset(path)
     train, val = _per_class_split(labels, 6, 0.25)
     assert back.train_indices.tobytes() == train.tobytes()
     assert back.val_indices.tobytes() == val.tobytes()
@@ -291,9 +291,10 @@ def test_ukdd_round_trip_reconstructs_everything(tmp_path):
     ds = generate(SMALL)
     path = tmp_path / "ds.ukdd"
     save_dataset(ds, path)
-    back = load_dataset(path, val_fraction=SMALL.val_fraction)
+    back = load_dataset(path)
     assert _dataset_bytes(back) == _dataset_bytes(ds)
     assert back.num_classes == ds.num_classes
+    assert back.val_fraction == ds.val_fraction == SMALL.val_fraction
     again = tmp_path / "again.ukdd"
     save_dataset(back, again)
     assert path.read_bytes() == again.read_bytes()
@@ -326,16 +327,28 @@ def test_ukdd_rejects_corruption(tmp_path):
         load_dataset(trailing)
 
     rogue_label = bytearray(blob)
-    rogue_label[20] = 200  # first label becomes >= num_classes
+    rogue_label[28] = 200  # first label becomes >= num_classes
     bad_label = tmp_path / "label.ukdd"
     bad_label.write_bytes(bytes(rogue_label))
     with pytest.raises(FormatError, match="label"):
         load_dataset(bad_label)
 
     short_header = tmp_path / "header.ukdd"
-    short_header.write_bytes(bytes(blob[:19]))
-    with pytest.raises(FormatError, match="header needs 20 bytes"):
+    short_header.write_bytes(bytes(blob[:27]))
+    with pytest.raises(FormatError, match="header needs 28 bytes"):
         load_dataset(short_header)
+
+    for name, fraction in (("zero", 0.0), ("one", 1.0), ("nan", np.nan)):
+        bad_fraction = tmp_path / f"fraction-{name}.ukdd"
+        bad_fraction.write_bytes(bytes(blob[:20]) + struct.pack("<d", fraction) + bytes(blob[28:]))
+        with pytest.raises(FormatError, match=r"val_fraction .* outside \(0, 1\) at offset 20$"):
+            load_dataset(bad_fraction)
+
+    version_1 = tmp_path / "v1.ukdd"  # the v1 layout: no val_fraction after dim
+    version_1.write_bytes(bytes(blob[:4]) + struct.pack("<I", 1) + bytes(blob[8:20])
+                          + bytes(blob[28:]))
+    with pytest.raises(FormatError, match="^unsupported version 1 at offset 4$"):
+        load_dataset(version_1)
 
     one_class = tmp_path / "dims.ukdd"
     one_class.write_bytes(bytes(blob[:8]) + struct.pack("<I", 1) + bytes(blob[12:]))
@@ -343,11 +356,11 @@ def test_ukdd_rejects_corruption(tmp_path):
         load_dataset(one_class)
 
     one_row = tmp_path / "one-row.ukdd"  # its one row is held out for val
-    one_row.write_bytes(bytes(blob[:8]) + struct.pack("<IIII2d", 2, 1, 2, 0, 0.5, 1.5))
+    one_row.write_bytes(bytes(blob[:8]) + struct.pack("<IIIdI2d", 2, 1, 2, 0.9, 0, 0.5, 1.5))
     with pytest.raises(DataError, match="training split is empty"):
-        load_dataset(one_row, val_fraction=0.9)
+        load_dataset(one_row)
 
-    labels_end = 20 + 4 * ds.labels.size
+    labels_end = 28 + 4 * ds.labels.size
     flat_column = bytearray(blob)
     for row in range(ds.labels.size):  # feature 2 reads 0.0 in every row
         offset = labels_end + 8 * (row * ds.features.shape[1] + 2)
@@ -368,12 +381,12 @@ def test_ukdd_rejects_corruption(tmp_path):
 
 
 def test_a_huge_declared_class_count_loads_in_time_of_its_rows(tmp_path):
-    # C = 2^32 - 1, N = 2, dim 2: 60 bytes; visiting every declared class would take minutes
+    # C = 2^32 - 1, N = 2, dim 2: 68 bytes; visiting every declared class would take minutes
     path = tmp_path / "wide.ukdd"
-    path.write_bytes(b"UKDD" + struct.pack("<IIII", 1, 2**32 - 1, 2, 2)
+    path.write_bytes(b"UKDD" + struct.pack("<IIIId", 2, 2**32 - 1, 2, 2, 0.1)
                      + struct.pack("<II", 7, 2**32 - 2)
                      + struct.pack("<4d", 0.0, 1.0, 2.0, 5.0))
-    assert path.stat().st_size == 60
+    assert path.stat().st_size == 68
     started = time.perf_counter()
     ds = load_dataset(path)
     assert time.perf_counter() - started < 5.0

@@ -516,7 +516,8 @@ def one_hot_dataset(copies=3):
     n = 10 * copies
     return Dataset(features=feats, labels=labels,
                    train_indices=np.arange(n - 10), val_indices=np.arange(n - 10, n),
-                   norm_mean=np.zeros(10), norm_std=np.ones(10), num_classes=10)
+                   norm_mean=np.zeros(10), norm_std=np.ones(10), num_classes=10,
+                   val_fraction=1 / copies)
 
 
 def linear_net(weight, bias):
@@ -551,12 +552,12 @@ def test_evaluate_ties_take_lowest_class_index():
     labels = np.full(ds.labels.shape, 2, dtype=np.int64)
     tied = Dataset(features=feats, labels=labels, train_indices=ds.train_indices,
                    val_indices=ds.val_indices, norm_mean=ds.norm_mean,
-                   norm_std=ds.norm_std, num_classes=10)
+                   norm_std=ds.norm_std, num_classes=10, val_fraction=ds.val_fraction)
     assert evaluate(net, tied, "val")["top1"] == 1.0
     labels5 = np.full(ds.labels.shape, 5, dtype=np.int64)
     tied5 = Dataset(features=feats, labels=labels5, train_indices=ds.train_indices,
                     val_indices=ds.val_indices, norm_mean=ds.norm_mean,
-                    norm_std=ds.norm_std, num_classes=10)
+                    norm_std=ds.norm_std, num_classes=10, val_fraction=ds.val_fraction)
     assert evaluate(net, tied5, "val")["top1"] == 0.0  # class 2 wins the tie
     assert evaluate(net, tied5, "val")["top5"] == 1.0
 
@@ -586,16 +587,18 @@ def test_evaluate_empty_split_is_a_data_error(tmp_path):
     empty = Dataset(features=ds.features, labels=ds.labels,
                     train_indices=ds.train_indices,
                     val_indices=np.array([], dtype=np.int64),
-                    norm_mean=ds.norm_mean, norm_std=ds.norm_std, num_classes=10)
+                    norm_mean=ds.norm_mean, norm_std=ds.norm_std, num_classes=10,
+                    val_fraction=ds.val_fraction)
     net = linear_net(np.eye(10), np.zeros(10))
     with pytest.raises(DataError, match="empty"):
         evaluate(net, empty, "val")
     with pytest.raises(ParameterError, match="split must be one of"):
         evaluate(net, ds, "test")
     # a spec refuses a split that rounds to empty, so only a file can give one
-    save_dataset(generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
-                                      overlap_sigma=0.5, seed=1)), tmp_path / "ds.ukdd")
-    starved = load_dataset(tmp_path / "ds.ukdd", val_fraction=0.04)
+    save_dataset(replace(generate(DatasetSpec(num_classes=2, samples_per_class=10, feature_dim=4,
+                                              overlap_sigma=0.5, seed=1)), val_fraction=0.04),
+                 tmp_path / "ds.ukdd")
+    starved = load_dataset(tmp_path / "ds.ukdd")
     with pytest.raises(DataError, match="split 'val' is empty"):
         evaluate(build([LayerSpec(4, 2, "none")], 0), starved, "val")
 
