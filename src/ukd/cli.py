@@ -11,7 +11,7 @@ The default output root is ./runs, overridable with UKD_RUN_ROOT.
 No command writes into an existing non-empty directory, except explicit -o
 targets, and an output directory appears with its first file. A config that
 cannot run is refused when it is built (exit 2), and a flag value that
-cannot be used (--seeds 0, a bad --compression pair) when it is parsed,
+cannot be used (--seeds 0, --jobs 0) when it is parsed,
 before any directory is claimed or any work starts.
 """
 
@@ -48,7 +48,7 @@ from .harness import (
     save_checkpoint,
     train,
 )
-from .nets import DEFAULT_WIDTHS, LayerSpec, compression_ratio, mlp_spec, param_count
+from .nets import DEFAULT_WIDTHS, LayerSpec, mlp_spec, param_count
 
 MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
               "dual": "dual"}
@@ -349,9 +349,6 @@ def cmd_report(args) -> int:
                 for row in rows if row["student"] == student]
             _write_atomic(out / f"series_{label}_{student}.csv",
                           ("\n".join(lines) + "\n").encode("ascii"))
-
-    for spec, ratio in args.compression or []:
-        print(f"compression {spec} = {ratio:.2f}x")
     return 0
 
 
@@ -397,16 +394,6 @@ def _at_least_one(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _compression_pair(text: str) -> tuple[str, float]:
-    """argparse type of --compression: a TEACHER/STUDENT count pair, with its ratio."""
-    try:
-        teacher_n, student_n = (float(part) for part in text.split("/"))
-        return text, compression_ratio(teacher_n, student_n)
-    except ValueError as err:  # a ParameterError is a ValueError too
-        raise argparse.ArgumentTypeError(
-            f"must be TEACHER/STUDENT parameter counts, got {text!r}: {err}") from None
 
 
 def _add_flags(p: argparse.ArgumentParser, dests) -> None:
@@ -468,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ours", required=True, metavar="DIR", help="comparison run dir")
     p.add_argument("--out", metavar="DIR", help="report output dir "
                    "(default: $UKD_RUN_ROOT/report)")
-    p.add_argument("--compression", action="append", type=_compression_pair, metavar="T/S",
-                   help="print the ratio for a TEACHER/STUDENT parameter-count "
-                        "pair; repeatable")
     p.set_defaults(func=cmd_report)
     return parser
 

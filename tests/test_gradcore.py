@@ -359,6 +359,8 @@ def test_a_linked_op_output_is_its_own_node():
     out = mul(x, x)
     assert out.node is out
     assert out.node.op == "mul" and out.node.parents == (x, x)
+    assert repr(x) == "Tensor(shape=(2, 2), requires_grad)"
+    assert repr(out) == "Tensor(shape=(2, 2), op=mul)"
     assert out.node.seq == out.seq
     assert add(out, x).node.seq > out.node.seq  # parents are numbered before children
     np.testing.assert_array_equal(out.node.grad_fn(np.ones((2, 2)))[0], x.data)
@@ -367,6 +369,7 @@ def test_a_linked_op_output_is_its_own_node():
     unlinked = mul(Tensor([1.0]), Tensor([2.0]))  # no parent takes a gradient
     for t in (x, Tensor([1.0]), detach(out), silent, unlinked):
         assert t.node is None
+    assert repr(silent) == "Tensor(shape=(2, 2))"
 
 
 def test_a_graph_is_freed_by_reference_counting_alone():

@@ -113,6 +113,8 @@ def test_forward_is_deterministic():
     net = build(_default_spec("student2"), 5)
     x = Tensor(np.random.default_rng(2).uniform(-1, 1, (8, 16)))
     assert forward(net, x).data.tobytes() == forward(net, x).data.tobytes()
+    # a library caller may pass a plain array; it is taken as a Tensor
+    assert forward(net, x.data).data.tobytes() == forward(net, x).data.tobytes()
 
 
 # ---------------------------------------------------------------- freezing
@@ -120,9 +122,11 @@ def test_forward_is_deterministic():
 
 def test_frozen_forward_records_no_graph():
     net = build([LayerSpec(3, 2, "none")], 0)
+    assert repr(net) == "Network(3->2, trainable, 8 params)"
     out_live = forward(net, Tensor(np.ones((2, 3))))
     assert out_live.node is not None
     net.freeze()
+    assert repr(net) == "Network(3->2, frozen, 8 params)"
     out_frozen = forward(net, Tensor(np.ones((2, 3))))
     assert out_frozen.node is None
     np.testing.assert_array_equal(out_live.data, out_frozen.data)
@@ -166,7 +170,9 @@ def test_param_count_single_layer():
 def test_param_count_teacher_ladder():
     # 64->128->128->10: 8320 + 16512 + 1290.
     spec = [LayerSpec(64, 128), LayerSpec(128, 128), LayerSpec(128, 10, "none")]
-    assert param_count(build(spec, 0)) == 26_122
+    net = build(spec, 0)
+    assert param_count(net) == 26_122
+    assert repr(net) == "Network(64->128->128->10, trainable, 26122 params)"
 
 
 def test_default_specs_are_heterogeneous_and_ordered():
