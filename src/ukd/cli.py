@@ -38,6 +38,7 @@ from .data import (
 from .distill import KL_DIRECTIONS
 from .errors import DataError, NumericError, SpecError, UkdError
 from .harness import (
+    MODES,
     Seeds,
     TrainConfig,
     _write_diverged,
@@ -50,8 +51,8 @@ from .harness import (
 )
 from .nets import DEFAULT_WIDTHS, LayerSpec, mlp_spec, param_count
 
-MODE_FLAGS = {"hard": "hard_only", "kd": "baseline_kd", "ukd": "uncertainty_kd",
-              "dual": "dual"}
+# The mode each `--mode` name stands for, from the mode table.
+MODE_FLAGS = {flag: mode for mode, (flag, _, _) in MODES.items()}
 # The seed block of a run given neither --seed-block nor a [seeds] section.
 _DEFAULT_BLOCK = 0
 
@@ -400,13 +401,12 @@ def _add_flags(p: argparse.ArgumentParser, dests) -> None:
     """Add the flags of dests; a flag not given stays out of the parsed namespace."""
     kinds = {**_FIELDS["run"], **_FIELDS["dataset"]}
     defaults = {f.name: f.default for cls in (TrainConfig, DatasetSpec) for f in fields(cls)}
+    defaults.update(zip(("alpha", "beta", "gamma"),  # the loss weights follow the mode
+                        map("per mode; dual: {}".format, MODES["dual"][1])))
     for dest in dests:
         flag, text, kw = _FLAGS[dest]
         if dest in kinds and dest != "mode":  # --mode takes a short name, not the field value
-            shown = defaults[dest]
-            if shown is None:  # the loss weights follow the mode
-                shown = f"per mode; dual: {getattr(TrainConfig(mode='dual'), dest)}"
-            text = f"{text} (default: {shown})"
+            text = f"{text} (default: {defaults[dest]})"
             kw = {"type": kinds[dest], "metavar": flag[2:].replace("-", "_").upper(), **kw}
         p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=text, **kw)
 

@@ -70,19 +70,18 @@ from .nets import (
 )
 from .optim import SgdState, lr_at, sgd_step
 
-# Default loss weights per mode: (alpha, beta, gamma). A weight whose default
-# is 0 must stay 0: the mode has no such term.
-MODE_WEIGHTS = {
-    "hard_only": (1.0, 0.0, 0.0),
-    "baseline_kd": (0.3, 0.7, 0.0),
-    "uncertainty_kd": (0.3, 0.7, 0.0),
-    "dual": (0.4, 0.4, 0.2),
+# The one table of modes, in ladder order: each row adds one loss component to
+# the row before. Per mode: its `ukd --mode` name; its default loss weights
+# (alpha, beta, gamma), where a weight whose default is 0 must stay 0 (the mode
+# has no such term); and the source of its teacher term's per-sample weights,
+# "ones" or "entropy" (the teacher's confidence, UncertaintyStats.weight).
+MODES = {
+    "hard_only": ("hard", (1.0, 0.0, 0.0), "ones"),
+    "baseline_kd": ("kd", (0.3, 0.7, 0.0), "ones"),
+    "uncertainty_kd": ("ukd", (0.3, 0.7, 0.0), "entropy"),
+    "dual": ("dual", (0.4, 0.4, 0.2), "entropy"),
 }
-# The modes that weight each row of the teacher term by the teacher's confidence.
-CONFIDENCE_MODES = ("uncertainty_kd", "dual")
-MODES = tuple(MODE_WEIGHTS)
-# The ladder adds one loss component per row, in the order of MODES.
-ABLATION_ROWS = MODES
+ABLATION_ROWS = tuple(MODES)
 
 UKDC_MAGIC = b"UKDC"
 UKDC_VERSION = 1
@@ -120,8 +119,8 @@ class TrainConfig:
     """Everything a run depends on; a run is a pure function of this object.
 
     Every field is checked when the config is built, and a None loss weight
-    or network spec is filled from MODE_WEIGHTS or DEFAULT_WIDTHS, so a
-    config that builds can run.
+    or network spec is filled from the mode's row of MODES or from
+    DEFAULT_WIDTHS, so a config that builds can run.
     """
 
     mode: str
@@ -145,8 +144,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise SpecError(f"mode {self.mode!r} not in {MODES}")
-        for name, default in zip(("alpha", "beta", "gamma"), MODE_WEIGHTS[self.mode]):
+            raise SpecError(f"mode {self.mode!r} not in {tuple(MODES)}")
+        _, weights, _ = MODES[self.mode]
+        for name, default in zip(("alpha", "beta", "gamma"), weights):
             if getattr(self, name) is None:
                 setattr(self, name, default)
             elif default == 0.0 and getattr(self, name) != 0.0:
@@ -226,8 +226,11 @@ class RunResult:
 
 
 def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
-    """Per-sample teacher weighting: all ones unless the mode is in CONFIDENCE_MODES."""
-    if mode in CONFIDENCE_MODES:
+    """Per-sample teacher weighting, by the weight source in the mode's row of MODES.
+
+    "entropy" gives the teacher's confidence (stats.weight), "ones" all ones.
+    """
+    if MODES[mode][2] == "entropy":
         return stats.weight
     return np.ones_like(stats.weight)
 
@@ -356,7 +359,7 @@ class _TeacherSpill:
 
     def open(self, config: TrainConfig, ds: Dataset):
         """The run's teacher phase, as _teacher_phase: records its stream if empty, else replays."""
-        fit = replace(config, mode=MODES[0], alpha=None, beta=None, gamma=None)
+        fit = replace(config, mode=ABLATION_ROWS[0], alpha=None, beta=None, gamma=None)
         if self.fit is None:
             self.teacher, self.teacher_val, stream = _teacher_phase(config, ds, None, self.file)
             self.fit = fit
@@ -391,7 +394,8 @@ def train_step_dual(t_logits: Tensor, s1: Network, s2: Network, batch, config: T
     t_logits is the frozen teacher's logits on the batch, and batch is (x, y)
     with x the Tensor the teacher saw; no forward writes into it. In order:
     the uncertainty statistics of the teacher's raw softmax, whose weights
-    scale each row's teacher term in CONFIDENCE_MODES; s1's and s2's
+    scale each row's teacher term where the mode's weight source in MODES
+    is "entropy" (confidence_for_mode); s1's and s2's
     forwards; each student's terms of nonzero weight and their sum, s1
     first; then s1 updates, then s2. Each treats the other's logits as a
     fixed (gradient-stopped) target, so neither update leaks into the other.
@@ -739,11 +743,11 @@ def _ablation_config(base: TrainConfig, mode: str, block: int) -> TrainConfig:
 def _run_block(base: TrainConfig, block: int, out_root) -> dict[str, dict[str, float]]:
     """All four ladder rows for one seed block, on one teacher and one teacher pass per batch.
 
-    Every row's train takes the block's spill as its teacher: the hard_only
+    Every row's train takes the block's spill as its teacher: the first
     row's pretrains the teacher and its producer records the stream's
     frames, and the later rows get the same teacher and replay them. The
     spill is closed, and so gone, however the block ends. out_root is not
-    created here: it appears with the hard_only row's first file.
+    created here: it appears with the first row's first file.
     """
     finals: dict[str, dict[str, float]] = {}
     with closing(_TeacherSpill()) as spill:
@@ -759,8 +763,8 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
            jobs: int | None = None) -> AblationResult:
     """The four-row loss-component ladder, each row's finals kept per seed block.
 
-    Rows: hard labels only; plus teacher KD (weights fixed, confidence off);
-    plus confidence weighting; plus the peer term (dual mode). Each block
+    Rows: the modes of MODES, in its order, each with its default loss
+    weights and weight source, so each adds one loss component. Each block
     pretrains one teacher reused across its rows and draws each batch, and
     runs the teacher on it, once: the later rows replay the first row's
     stream. jobs > 1 (None: the usable cores) runs up to one process per

@@ -138,7 +138,7 @@ _SCALAR_VALUES = {
     bool: st.booleans(),
     int: st.integers(min_value=0, max_value=10**6),
     float: st.floats(min_value=0.0, allow_infinity=False),
-    str: st.sampled_from(MODES + KL_DIRECTIONS),
+    str: st.sampled_from((*MODES, *KL_DIRECTIONS)),
 }
 
 
@@ -158,7 +158,7 @@ def _draw_config(data):
     # Fields are found by type, so a field added later is drawn here too.
     seeds = _draw_scalars(data, Seeds.from_block(0))
     dataset = replace(_draw_scalars(data, DatasetSpec()), seed=seeds.data)
-    base = TrainConfig(mode=data.draw(st.sampled_from(MODES)), seeds=seeds, dataset=dataset)
+    base = TrainConfig(mode=data.draw(st.sampled_from(tuple(MODES))), seeds=seeds, dataset=dataset)
     return _draw_scalars(data, base)
 
 
@@ -300,10 +300,11 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     (["train", "--mode", "dual", "--classes", "3", "--dim", "4", "--per-class", "4"],
      "val_fraction"),
     (["train", "--mode", "dual", "--per-class", "1", "--val-fraction", "0.9"], "val_fraction"),
+    (["train", "--mode", "bogus"], "[--mode {dual,hard,kd,ukd}]"),
 ], ids=["eta0-zero", "eta0-negative", "one-class", "zero-sigma", "val-fraction",
         "tau-square-overflows", "tau-square-underflows", "zero-width-student", "ablate-eta0-zero", "ablate-no-seeds",
         "ablate-negative-seeds", "ablate-no-jobs", "val-split-rounds-empty",
-        "train-split-rounds-empty"])
+        "train-split-rounds-empty", "unknown-mode"])
 def test_a_config_that_cannot_run_claims_no_directory(monkeypatch, capsys, argv, named):
     def no_work(*args, **kwargs):
         raise AssertionError("a config that cannot run was accepted")
