@@ -51,8 +51,6 @@ from .harness import (
 )
 from .nets import DEFAULT_WIDTHS, LayerSpec, mlp_spec, param_count
 
-# The mode each `--mode` name stands for, from the mode table.
-MODE_FLAGS = {flag: mode for mode, (flag, _, _) in MODES.items()}
 # The seed block of a run given neither --seed-block nor a [seeds] section.
 _DEFAULT_BLOCK = 0
 
@@ -189,8 +187,6 @@ def _assemble_config(args, default_mode: str | None = None,
                         "remove them from the config file")
     for section in _FIELDS:
         given[section].update(_given(args, section))
-    if "mode" in flags:
-        given["run"]["mode"] = MODE_FLAGS[flags["mode"]]
     given["run"].setdefault("mode", default_mode)
     return _build_config(given, flags.get("seed_block")), flags.get("out", out)
 
@@ -359,9 +355,8 @@ def cmd_report(args) -> int:
 # The flags commands share, by dest: (flag, help, argparse settings). A config
 # field's flag has the field name as dest and shows the dataclass default.
 _FLAGS = {
-    "mode": ("--mode", "training mode: hard=labels only, kd=fixed-weight distillation, "
-             "ukd=confidence-weighted, dual=two students with peer term (default: from config)",
-             {"choices": sorted(MODE_FLAGS)}),
+    "mode": ("--mode", "training mode, a row of the README's mode table "
+             "(default: from config)", {"choices": tuple(MODES)}),
     "config": ("--config", "config file (flags win)", {"metavar": "FILE"}),
     "out": ("--out", "output directory (default: $UKD_RUN_ROOT or ./runs, auto-named)",
             {"metavar": "DIR"}),
@@ -402,10 +397,10 @@ def _add_flags(p: argparse.ArgumentParser, dests) -> None:
     kinds = {**_FIELDS["run"], **_FIELDS["dataset"]}
     defaults = {f.name: f.default for cls in (TrainConfig, DatasetSpec) for f in fields(cls)}
     defaults.update(zip(("alpha", "beta", "gamma"),  # the loss weights follow the mode
-                        map("per mode; dual: {}".format, MODES["dual"][1])))
+                        map("per mode; dual: {}".format, MODES["dual"][0])))
     for dest in dests:
         flag, text, kw = _FLAGS[dest]
-        if dest in kinds and dest != "mode":  # --mode takes a short name, not the field value
+        if dest in kinds and dest != "mode":  # mode has no default to show
             text = f"{text} (default: {defaults[dest]})"
             kw = {"type": kinds[dest], "metavar": flag[2:].replace("-", "_").upper(), **kw}
         p.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=text, **kw)
@@ -433,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, run_flags)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("ablate", help="the 4-row loss-component ladder")
+    p = sub.add_parser("ablate", help=f"the {len(MODES)}-row loss-component ladder")
     _add_flags(p, [key for key in run_flags  # each row sets these itself
                    if ("run", key) not in _ROW_KEYS and key != "seed_block"])
     p.add_argument("--seeds", type=_at_least_one, default=5,

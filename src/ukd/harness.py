@@ -71,15 +71,15 @@ from .nets import (
 from .optim import SgdState, lr_at, sgd_step
 
 # The one table of modes, in ladder order: each row adds one loss component to
-# the row before. Per mode: its `ukd --mode` name; its default loss weights
-# (alpha, beta, gamma), where a weight whose default is 0 must stay 0 (the mode
-# has no such term); and the source of its teacher term's per-sample weights,
-# "ones" or "entropy" (the teacher's confidence, UncertaintyStats.weight).
+# the row before. Per mode: its default loss weights (alpha, beta, gamma), where
+# a weight whose default is 0 must stay 0 (the mode has no such term); and the
+# source of its teacher term's per-sample weights, "ones" or "entropy" (the
+# teacher's confidence, UncertaintyStats.weight).
 MODES = {
-    "hard_only": ("hard", (1.0, 0.0, 0.0), "ones"),
-    "baseline_kd": ("kd", (0.3, 0.7, 0.0), "ones"),
-    "uncertainty_kd": ("ukd", (0.3, 0.7, 0.0), "entropy"),
-    "dual": ("dual", (0.4, 0.4, 0.2), "entropy"),
+    "hard_only": ((1.0, 0.0, 0.0), "ones"),
+    "baseline_kd": ((0.3, 0.7, 0.0), "ones"),
+    "uncertainty_kd": ((0.3, 0.7, 0.0), "entropy"),
+    "dual": ((0.4, 0.4, 0.2), "entropy"),
 }
 ABLATION_ROWS = tuple(MODES)
 
@@ -145,8 +145,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise SpecError(f"mode {self.mode!r} not in {tuple(MODES)}")
-        _, weights, _ = MODES[self.mode]
-        for name, default in zip(("alpha", "beta", "gamma"), weights):
+        for name, default in zip(("alpha", "beta", "gamma"), MODES[self.mode][0]):
             if getattr(self, name) is None:
                 setattr(self, name, default)
             elif default == 0.0 and getattr(self, name) != 0.0:
@@ -230,7 +229,7 @@ def confidence_for_mode(mode: str, stats: UncertaintyStats) -> np.ndarray:
 
     "entropy" gives the teacher's confidence (stats.weight), "ones" all ones.
     """
-    if MODES[mode][2] == "entropy":
+    if MODES[mode][1] == "entropy":
         return stats.weight
     return np.ones_like(stats.weight)
 

@@ -257,8 +257,9 @@ def test_train_and_rerun_identical(tmp_path):
 
 
 def test_train_mode_weight_conflict_exits_2(capsys):
-    assert main(["train", "--mode", "kd", "--gamma", "0.2"] + TINY) == 2
-    assert "gamma" in capsys.readouterr().err
+    assert main(["train", "--mode", "baseline_kd", "--gamma", "0.2"] + TINY) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: baseline_kd requires gamma = 0 (the mode has no such term)")
 
 
 def test_train_without_mode_or_config_exits_2(capsys):
@@ -291,7 +292,7 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     (["train", "--mode", "dual", "--sigma", "0"], "overlap_sigma"),
     (["train", "--mode", "dual", "--val-fraction", "1.5"], "val_fraction"),
     (["train", "--mode", "dual", "--tau", "1e200"], "tau"),
-    (["train", "--mode", "kd", "--tau", "1e-200"], "tau"),
+    (["train", "--mode", "baseline_kd", "--tau", "1e-200"], "tau"),
     (["train", "--mode", "dual", "--config", "zero-width.ini"], "student1_spec"),
     (["ablate", "--seeds", "1", "--eta0", "0"], "eta0"),
     (["ablate", "--seeds", "0"], "--seeds"),
@@ -300,7 +301,7 @@ def test_train_non_finite_hyperparameter_exits_2(monkeypatch, capsys, flag, valu
     (["train", "--mode", "dual", "--classes", "3", "--dim", "4", "--per-class", "4"],
      "val_fraction"),
     (["train", "--mode", "dual", "--per-class", "1", "--val-fraction", "0.9"], "val_fraction"),
-    (["train", "--mode", "bogus"], "[--mode {dual,hard,kd,ukd}]"),
+    (["train", "--mode", "bogus"], "[--mode {hard_only,baseline_kd,uncertainty_kd,dual}]"),
 ], ids=["eta0-zero", "eta0-negative", "one-class", "zero-sigma", "val-fraction",
         "tau-square-overflows", "tau-square-underflows", "zero-width-student", "ablate-eta0-zero", "ablate-no-seeds",
         "ablate-negative-seeds", "ablate-no-jobs", "val-split-rounds-empty",
@@ -313,7 +314,9 @@ def test_a_config_that_cannot_run_claims_no_directory(monkeypatch, capsys, argv,
     monkeypatch.setattr("ukd.cli.ablate", no_work)
     Path("zero-width.ini").write_text("[architecture]\nstudent1 = 0\n", encoding="ascii")
     assert main(argv + ["--out", "refused"]) == 2
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    # the error line names the fault; an unknown mode is named by the usage line it breaks
+    assert named in (err[0] if named.startswith("[--mode") else err[-1])
     assert not Path("refused").exists()
 
 
@@ -525,7 +528,7 @@ def test_diverged_pretrain_teacher_leaves_a_summary(capsys):
     assert isinstance(summary["epoch"], int) and isinstance(summary["batch"], int)
     assert summary["config"]["eta0"] == 1e10
     # train with the same flags stops at the same place and says so the same way
-    assert main(["train", "--mode", "hard", *argv[1:-1], "run"]) == 3
+    assert main(["train", "--mode", "hard_only", *argv[1:-1], "run"]) == 3
     assert json.loads(Path("run", "summary.json").read_text(encoding="ascii")) == summary
     capsys.readouterr()
     # there is no metrics.csv, and report names the divergence, not the missing file
@@ -604,13 +607,35 @@ def test_ablate_single_seed_equals_manual_trains(tmp_path):
     assert (root / "ablation.csv").exists()
     table = (root / "ablation.txt").read_text().splitlines()
     assert len(table) == 1 + 4 * 2
-    for mode_flag, mode in (("hard", "hard_only"), ("kd", "baseline_kd"),
-                            ("ukd", "uncertainty_kd"), ("dual", "dual")):
+    for mode in MODES:
         manual = tmp_path / f"manual-{mode}"
-        assert main(["train", "--mode", mode_flag, "--seed-block", "0",
+        assert main(["train", "--mode", mode, "--seed-block", "0",
                      "--out", str(manual)] + TINY) == 0
         ladder_csv = root / f"{mode}-block0" / "metrics.csv"
         assert ladder_csv.read_bytes() == (manual / "metrics.csv").read_bytes()
+        # the mode from a config file writes the same run as the flag
+        Path(f"{mode}.cfg").write_text(f"[run]\nmode = {mode}\n", encoding="ascii")
+        assert main(["train", "--config", f"{mode}.cfg", "--out", f"config-{mode}"]
+                    + TINY) == 0
+        assert _run_files(Path(f"config-{mode}")) == _run_files(manual)
+        # the mode a run records, and the one a rendered config holds, go back to --mode
+        recorded = json.loads((manual / "summary.json").read_text(encoding="ascii"))["mode"]
+        rendered = re.search(r"^mode = (.*)$", render_config(TrainConfig(mode=mode)), re.M)[1]
+        for name in (recorded, rendered):
+            args = build_parser().parse_args(["train", "--mode", name])
+            assert _assemble_config(args)[0].mode == mode
+    # a name that is no mode's is refused before any directory is claimed
+    assert main(["train", "--mode", "kd", "--out", "short"] + TINY) == 2
+    assert not Path("short").exists()
+
+
+def _run_files(run: Path) -> dict:
+    """Every file of a run, with the wall-clock total dropped from summary.json."""
+    files = {p.name: p.read_bytes() for p in run.iterdir()}
+    summary = json.loads(files["summary.json"])
+    del summary["total_wall_seconds"]
+    files["summary.json"] = summary
+    return files
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--seed-block"])
@@ -693,7 +718,7 @@ def test_report_compression_is_a_usage_error_before_any_write(tiny_run, tmp_path
 
 def test_report_command(tmp_path, capsys):
     base, ours, rep = tmp_path / "base", tmp_path / "ours", tmp_path / "rep"
-    assert main(["train", "--mode", "kd", "--out", str(base)] + TINY) == 0
+    assert main(["train", "--mode", "baseline_kd", "--out", str(base)] + TINY) == 0
     assert main(["train", "--mode", "dual", "--out", str(ours)] + TINY) == 0
     capsys.readouterr()
     rc = main(["report", "--baseline", str(base), "--ours", str(ours), "--out", str(rep)])
@@ -733,7 +758,7 @@ def test_report_missing_dir_exits_2(tmp_path, capsys):
 
 def test_report_on_a_diverged_run_exits_2(tmp_path, capsys):
     good, bad = tmp_path / "good", tmp_path / "bad"
-    assert main(["train", "--mode", "kd", "--out", str(good)] + TINY) == 0
+    assert main(["train", "--mode", "baseline_kd", "--out", str(good)] + TINY) == 0
     # a sane teacher, then students at a runaway rate: summary.json and a
     # header-only metrics.csv are left behind
     cfg = TrainConfig(mode="dual", epochs=2, teacher_epochs=2, batch_size=32,
@@ -794,7 +819,7 @@ def test_report_refuses_runs_that_disagree_on_student_names(tiny_run, capsys):
 
 def test_report_incompatible_epochs_exits_2(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["train", "--mode", "kd", "--out", str(a)] + TINY) == 0
+    assert main(["train", "--mode", "baseline_kd", "--out", str(a)] + TINY) == 0
     assert main(["train", "--mode", "dual", "--out", str(b), "--epochs", "3",
                  "--classes", "4", "--per-class", "40", "--dim", "8",
                  "--sigma", "0.5", "--teacher-epochs", "2",
