@@ -4,11 +4,12 @@ A small define-by-run engine: the output of every operation on linked
 tensors is its own graph node. It records its op, its parent tensors, a rule
 mapping its gradient to per-parent contributions and a global insertion
 number (``Tensor``'s ``op``, ``parents``, ``grad_fn`` and ``seq``), so an op
-output is one object. ``backward`` gathers the linked tensors reachable
-from a scalar loss, keyed by that number, and replays each once in reverse
-insertion order, which is a valid topological order because parents are
-always recorded before children. Leaves are not walked; they only receive
-gradient. Graphs are rebuilt on every forward pass and never reused.
+output is one object. ``backward`` walks a scalar loss's graph once: a
+linked tensor joins a heap keyed by that number when its first
+contribution arrives, and the heap replays each tensor once, newest first.
+That is a valid topological order because parents are always recorded
+before children. Leaves are not walked; each sums its contributions into
+its gradient. Graphs are rebuilt on every forward pass and never reused.
 
 Every operation checks its output for NaN/Inf and raises ``NumericError``
 instead of propagating non-finite values; no op changes numpy's error state.
@@ -52,6 +53,7 @@ These rules keep the hot paths short without changing a bit:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -342,41 +344,32 @@ def backward(loss: Tensor) -> None:
     seed = np.array(1.0)
     if loss.grad_fn is None:
         if loss.requires_grad:
-            _accumulate(loss, seed)
+            if loss.grad is None:
+                loss.grad = np.zeros_like(loss.data)
+            loss.grad += seed
         return
 
-    # Gather every linked tensor reachable from the loss, keyed by its
-    # insertion number, then replay their rules in reverse insertion order
-    # (children first). Leaves are never walked: they only receive
-    # contributions.
-    nodes = {loss.seq: loss}
-    stack = [loss]
-    while stack:
-        for p in stack.pop().parents:
-            if p.grad_fn is not None and p.seq not in nodes:
-                nodes[p.seq] = p
-                stack.append(p)
-
-    adjoint = {loss.seq: seed}
-    for seq in sorted(nodes, reverse=True):
-        g = adjoint.pop(seq, None)
-        if g is None:
-            continue
-        t = nodes[seq]
-        for p, c in zip(t.parents, t.grad_fn(g)):
+    # Replay each linked tensor once, newest first: it joins the heap with
+    # its first contribution, and every child is newer than its parents, so
+    # all of a tensor's contributions have arrived when it is popped. Leaves
+    # are never walked: they sum their contributions in place.
+    adjoint = {loss: seed}
+    heap = [(-loss.seq, loss)]
+    while heap:
+        t = heapq.heappop(heap)[1]
+        for p, c in zip(t.parents, t.grad_fn(adjoint.pop(t))):
             if c is None:
                 continue
             if p.grad_fn is not None:
-                pseq = p.seq
-                adjoint[pseq] = adjoint[pseq] + c if pseq in adjoint else c
+                if p in adjoint:  # not +=: a rule may hand one array to two parents
+                    adjoint[p] = adjoint[p] + c
+                else:
+                    adjoint[p] = c
+                    heapq.heappush(heap, (-p.seq, p))
             elif p.requires_grad:
-                _accumulate(p, c)
-
-
-def _accumulate(leaf: Tensor, contribution) -> None:
-    if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
-    leaf.grad += contribution
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+                p.grad += c
 
 
 def zero_grad(params) -> None:

@@ -470,7 +470,7 @@ def pretrain_teacher(config: TrainConfig, ds: Dataset | None = None,
             backward(loss)
             sgd_step(opt)
     teacher.freeze()
-    return teacher, evaluate(teacher, ds, "val")["top1"]
+    return teacher, _evaluated("teacher", teacher, ds, "val")["top1"]
 
 
 def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None, spill=None):
@@ -481,8 +481,16 @@ def _teacher_phase(config: TrainConfig, ds: Dataset, teacher: Network | None, sp
     if teacher is None:
         teacher, teacher_val = pretrain_teacher(config, ds)
     else:
-        teacher_val = evaluate(teacher, ds, "val")["top1"]
+        teacher_val = _evaluated("teacher", teacher, ds, "val")["top1"]
     return teacher, teacher_val, _fork_producer(teacher, ds, config, spill)
+
+
+def _evaluated(name: str, net: Network, ds: Dataset, split: str) -> dict[str, float]:
+    """evaluate(net, ds, split), a NumericError naming the network it stopped in."""
+    try:
+        return evaluate(net, ds, split)
+    except NumericError as err:
+        raise NumericError(f"{name} evaluation diverged: {err}") from err
 
 
 @_QUIET_FP
@@ -598,8 +606,8 @@ def train(config: TrainConfig, out_dir=None,
                 weight_sum += np.add.reduce(stats.weight)
             batch = None
             for name, net in students.items():
-                train_eval = evaluate(net, ds, "train")
-                val_eval = evaluate(net, ds, "val")
+                train_eval = _evaluated(name, net, ds, "train")
+                val_eval = _evaluated(name, net, ds, "val")
                 means = [s / n_train for s in sums[name]]
                 records.append(MetricsRecord(
                     epoch=epoch, student=name, hard=means[0],
@@ -768,8 +776,9 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     runs the teacher on it, once: the later rows replay the first row's
     stream. jobs > 1 (None: the usable cores) runs up to one process per
     block, each on one BLAS thread so that the workers do not compete for
-    the cores; results are merged in block order either way. out_root
-    appears with its first file, so a ladder stopped before then leaves none.
+    the cores; results are merged in block order either way, and a worker
+    that dies is a ChildProcessError. out_root appears with its first file,
+    so a ladder stopped before then leaves none.
     """
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
@@ -781,11 +790,14 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     if jobs == 1 or len(seeds) == 1:
         per_block = [_run_block(base_config, b, out_root) for b in seeds]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)),
-                                 initializer=_one_blas_thread) as pool:
-            per_block = list(pool.map(_run_block, *zip(*[
-                (base_config, b, out_root) for b in seeds])))
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)),
+                                     initializer=_one_blas_thread) as pool:
+                per_block = list(pool.map(_run_block, *zip(*[
+                    (base_config, b, out_root) for b in seeds])))
+        except BrokenExecutor as err:  # a worker died, as a producer can: exit 2, not a traceback
+            raise ChildProcessError(f"a ladder worker ended before its seed block did ({err})")
     result = AblationResult(list(seeds), {
         row: {student: [blk[row][student] for blk in per_block] for student in ("s1", "s2")}
         for row in ABLATION_ROWS})

@@ -345,6 +345,33 @@ def test_train_numeric_abort_exits_3(capsys):
     assert err == f"numeric abort: {summary['error']}\n"
 
 
+def test_train_names_the_network_whose_evaluation_diverged(capsys):
+    # one batch per epoch, so the teacher's last update overflows before its val evaluation
+    rc = main(["train", "--mode", "dual", "--eta0", "1e30", "--out", "diverged"]
+              + TINY + ["--batch-size", "1000"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numeric abort: teacher evaluation diverged: dense produced [^\n]*\n",
+                        err)
+    summary = json.loads(Path("diverged", "summary.json").read_text())
+    assert err == f"numeric abort: {summary['error']}\n"
+
+
+def test_a_dead_ladder_worker_exits_2_without_a_traceback(monkeypatch, capfd):
+    real_train = harness.train
+
+    def train_or_die(config, out_dir, spill):  # the pool's workers are forked and inherit it
+        if config.seeds == harness.Seeds.from_block(1):
+            os._exit(7)
+        return real_train(config, out_dir, spill)
+
+    monkeypatch.setattr(harness, "train", train_or_die)
+    assert main(["ablate", "--seeds", "2", "--jobs", "2", "--out", "abl"] + TINY) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error: a ladder worker ended before its seed block did (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["train", "--mode", "dual"],
                                      ["ablate", "--seeds", "2", "--jobs", "2"]])
 def test_numeric_abort_is_the_only_line_on_stderr(tmp_path, command):

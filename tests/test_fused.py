@@ -24,7 +24,6 @@ from ukd.distill import (KL_DIRECTIONS, _entropy, confidence_weight, hard_loss, 
 from ukd.errors import DataError, NumericError, ParameterError
 from ukd.gradcore import (
     Tensor,
-    _accumulate,
     _log_softmax_adjoint,
     _log_softmax_data,
     add,
@@ -499,7 +498,9 @@ def _parent_backward(loss):
                 pid = id(p)
                 adjoint[pid] = adjoint[pid] + c if pid in adjoint else c
             elif p.requires_grad:
-                _accumulate(p, c)
+                if p.grad is None:
+                    p.grad = np.zeros_like(p.data)
+                p.grad += c
 
 
 @settings(max_examples=150, deadline=None)

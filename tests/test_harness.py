@@ -262,14 +262,15 @@ def test_dual_step_computes_six_row_softmaxes(dual_step_graph):
     assert dual_step_graph[2] == 6
 
 
-def test_warm_dual_step_makes_at_most_137_python_calls(dual_step_calls):
+def test_warm_dual_step_makes_at_most_127_python_calls(dual_step_calls):
     # one Tensor for the batch, one loop over the students and a list scan
     # in Network.frozen took it from 170 to 155; checking the teacher is
     # frozen once per run, not per batch, to 153; an op output that is its
     # own graph node, with no Node built for its 13 ops, to 140; the step
     # taking the teacher's statistics and making both updates itself, with
-    # no helper frame for either, to 137
-    assert sum(dual_step_calls.values()) <= 137
+    # no helper frame for either, to 137; folding the leaf sum into one
+    # walk, to 127
+    assert sum(dual_step_calls.values()) <= 127
 
 
 def test_warm_dual_step_makes_no_numpy_wrapper_calls(dual_step_calls):
@@ -431,7 +432,9 @@ def test_injected_teacher_that_overflows_in_evaluation_leaves_a_summary(tmp_path
     teacher = build(cfg.teacher_spec, 0)
     for p in teacher.parameters[::2]:
         p.data *= 1e200
-    with pytest.raises(NumericError, match="dense produced non-finite values") as info:
+    with pytest.raises(NumericError,
+                       match="^teacher evaluation diverged: dense produced non-finite values$"
+                       ) as info:
         train(cfg, tmp_path / "run", teacher=teacher.freeze())
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert (summary["status"], summary["phase"], summary["epoch"], summary["batch"]) == \
@@ -486,6 +489,49 @@ def test_diverged_teacher_in_a_parallel_ladder_is_a_numeric_error():
     cfg = small_config("dual", eta0=1e30, epochs=2)
     with pytest.raises(NumericError, match="^teacher forward diverged: "):
         ablate(cfg, [0, 1], out_root=None, jobs=2)
+
+
+# one batch per epoch, so an update that overflows is first met by the evaluation after it
+ONE_BATCH = dict(batch_size=1000, teacher_epochs=2, epochs=2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_teacher_that_diverges_in_its_evaluation_is_named(tmp_path):
+    cfg = small_config("dual", eta0=1e30, **ONE_BATCH)
+    # the last pretraining update overflows the teacher, so its val evaluation fails
+    with pytest.raises(NumericError, match="^teacher evaluation diverged: dense produced") as info:
+        train(cfg, tmp_path / "run")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert (summary["phase"], summary["epoch"], summary["batch"], summary["error"]) == (
+        "teacher", None, None, str(info.value))
+    with pytest.raises(NumericError, match="^teacher evaluation diverged: "):
+        pretrain_teacher(cfg)  # on its own, as `ukd pretrain-teacher` runs it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_student_that_diverges_in_its_evaluation_is_named(tmp_path):
+    teacher, _ = pretrain_teacher(small_config("dual", **ONE_BATCH))  # trained at a sane rate
+    cfg = small_config("dual", eta0=1e200, **ONE_BATCH)
+    # the epoch's one update overflows s1, so its train evaluation fails before any forward
+    with pytest.raises(NumericError, match="^s1 evaluation diverged: dense produced") as info:
+        train(cfg, tmp_path / "run", teacher=teacher)
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert (summary["phase"], summary["epoch"], summary["batch"], summary["error"]) == (
+        "students", 0, None, str(info.value))
+    assert (tmp_path / "run" / "metrics.csv").read_text() == METRICS_HEADER + "\n"
+
+
+def test_a_dead_ladder_worker_is_a_child_process_error(monkeypatch):
+    real_train = harness.train
+
+    def train_or_die(config, out_dir, spill):  # the pool's workers are forked and inherit it
+        if config.seeds == Seeds.from_block(1):
+            os._exit(7)
+        return real_train(config, out_dir, spill)
+
+    monkeypatch.setattr(harness, "train", train_or_die)
+    with pytest.raises(ChildProcessError, match="^a ladder worker ended before its seed block"):
+        ablate(small_config("dual", epochs=1, teacher_epochs=1), [0, 1], out_root=None, jobs=2)
 
 
 def test_diverged_ladder_teacher_leaves_a_summary(tmp_path):
