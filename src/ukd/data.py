@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, SpecError
+from .errors import DataError, FormatError, ParameterError, SpecError, _check_count
 
 UKDD_MAGIC = b"UKDD"
 UKDD_VERSION = 2
@@ -40,7 +40,8 @@ _ORACLE_SAMPLES, _ORACLE_STREAM = 20_000, 2_000_000  # bayes_oracle_accuracy's d
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Generation recipe, checked when built; every field participates in reproducibility."""
+    """Generation recipe, checked when built (each count and the seed kept as an int);
+    every field participates in reproducibility."""
 
     num_classes: int = 10
     samples_per_class: int = 500
@@ -50,12 +51,9 @@ class DatasetSpec:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise SpecError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.feature_dim < 2:
-            raise SpecError(f"feature_dim must be >= 2, got {self.feature_dim}")
-        if self.samples_per_class < 1:
-            raise SpecError(f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        for name, least in (("num_classes", 2), ("feature_dim", 2), ("samples_per_class", 1),
+                            ("seed", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, least))
         if not 0 < self.overlap_sigma < math.inf:
             raise SpecError(f"overlap_sigma must be positive and finite, got {self.overlap_sigma}")
         if not 0.0 < self.val_fraction < 1.0:
@@ -64,8 +62,6 @@ class DatasetSpec:
         if not 1 <= held_out < self.samples_per_class:
             raise SpecError(f"val_fraction {self.val_fraction} holds out {held_out} of "
                             f"{self.samples_per_class} rows per class; each split needs one")
-        if self.seed < 0:
-            raise SpecError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for counts."""
+
+import numbers
 
 
 class UkdError(Exception):
@@ -39,3 +41,14 @@ class FormatError(UkdError, ValueError):
 
 class NumericError(UkdError, ArithmeticError):
     """A computation produced NaN or Inf."""
+
+
+def _check_count(value, what: str, least: int) -> int:
+    """value as an int, if it is an integer (numpy's included) >= least; else a SpecError.
+
+    Every count, size and seed a spec holds is checked here, so a float or a
+    string is refused where the spec is built, not deep inside numpy.
+    """
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)

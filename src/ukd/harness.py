@@ -54,7 +54,7 @@ from .distill import (
     total_loss,
     uncertainty_stats,
 )
-from .errors import DataError, FormatError, NumericError, SpecError
+from .errors import DataError, FormatError, NumericError, SpecError, _check_count
 from .gradcore import Tensor, backward, log_softmax, no_grad, row_softmax, zero_grad
 from .nets import (
     ACTIVATIONS,
@@ -92,7 +92,7 @@ _QUIET_FP = np.errstate(over="ignore", invalid="ignore")
 
 @dataclass(frozen=True)
 class Seeds:
-    """The five independent RNG stream roots of one run."""
+    """The five independent RNG stream roots of one run, each an int >= 0."""
 
     data: int
     teacher: int
@@ -101,16 +101,13 @@ class Seeds:
     shuffle: int
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value < 0:
-                raise SpecError(f"seed {name} must be nonnegative, got {value}")
+        for name in (f.name for f in fields(self)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), f"seed {name}", 0))
 
     @classmethod
     def from_block(cls, block: int) -> "Seeds":
         """Block n covers seeds n*1000 .. n*1000+4, one per stream."""
-        if block < 0:
-            raise SpecError(f"seed block must be nonnegative, got {block}")
-        base = block * 1000
+        base = _check_count(block, "seed block", 0) * 1000
         return cls(base, base + 1, base + 2, base + 3, base + 4)
 
 
@@ -120,7 +117,9 @@ class TrainConfig:
 
     Every field is checked when the config is built, and a None loss weight
     or network spec is filled from the mode's row of MODES or from
-    DEFAULT_WIDTHS, so a config that builds can run.
+    DEFAULT_WIDTHS, so a config that builds can run. Each count is kept as
+    an int and each network spec as a list, whatever integer or sequence
+    type was given.
     """
 
     mode: str
@@ -164,8 +163,7 @@ class TrainConfig:
         if not self.eta0 > 0:
             raise SpecError(f"eta0 must be positive, got {self.eta0}")
         for name in ("epochs", "batch_size", "teacher_epochs"):
-            if getattr(self, name) < 1:
-                raise SpecError(f"{name} must be >= 1")
+            setattr(self, name, _check_count(getattr(self, name), name, 1))
         if self.momentum < 0 or self.weight_decay < 0 or self.augment_strength < 0:
             raise SpecError("momentum, weight_decay, augment_strength must be nonnegative")
         if self.kl_direction not in KL_DIRECTIONS:
@@ -178,10 +176,9 @@ class TrainConfig:
         dim, c = self.dataset.feature_dim, self.dataset.num_classes
         for net, widths in DEFAULT_WIDTHS.items():
             name = f"{net}_spec"
-            if getattr(self, name) is None:
-                setattr(self, name, mlp_spec(dim, widths, c))
             spec = getattr(self, name)
-            _validate_spec(spec, name)
+            spec = _validate_spec(mlp_spec(dim, widths, c) if spec is None else spec, name)
+            setattr(self, name, spec)
             if spec[0].in_dim != dim or spec[-1].out_dim != c:
                 raise SpecError(f"{name} must map feature_dim {dim} to num_classes {c}")
         if self.student1_spec == self.student2_spec:
@@ -780,13 +777,14 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
     that dies is a ChildProcessError. out_root appears with its first file,
     so a ladder stopped before then leaves none.
     """
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+    seeds = [_check_count(b, "each of ablate's distinct nonnegative seed blocks", 0)
+             for b in seeds]
+    if not seeds or len(set(seeds)) < len(seeds):
         raise SpecError(f"ablate needs one or more distinct nonnegative seed blocks, got {seeds}")
     if jobs is None:  # the usable cores, or all of them where affinity is unknown
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-    if jobs < 1:
-        raise SpecError(f"jobs must be >= 1, got {jobs}")
+    jobs = _check_count(jobs, "jobs", 1)
     if jobs == 1 or len(seeds) == 1:
         per_block = [_run_block(base_config, b, out_root) for b in seeds]
     else:
@@ -798,7 +796,7 @@ def ablate(base_config: TrainConfig, seeds: list[int], out_root=None,
                     (base_config, b, out_root) for b in seeds])))
         except BrokenExecutor as err:  # a worker died, as a producer can: exit 2, not a traceback
             raise ChildProcessError(f"a ladder worker ended before its seed block did ({err})")
-    result = AblationResult(list(seeds), {
+    result = AblationResult(seeds, {
         row: {student: [blk[row][student] for blk in per_block] for student in ("s1", "s2")}
         for row in ABLATION_ROWS})
     if out_root is not None:

@@ -16,7 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, SpecError
+from .errors import ParameterError, ShapeError, SpecError, _check_count
 from .gradcore import Tensor, dense
 
 ACTIVATIONS = ("none", "relu")
@@ -34,19 +34,23 @@ class LayerSpec:
     activation: str = "relu"
 
 
-def _validate_spec(spec: list[LayerSpec], name: str = "network spec") -> None:
+def _validate_spec(spec: list[LayerSpec], name: str = "network spec") -> list[LayerSpec]:
+    """spec as a list of layers with int dims, if build can take it; else a SpecError."""
     if not spec:
         raise SpecError(f"{name} needs at least one layer")
+    layers = []
     for i, layer in enumerate(spec):
-        if layer.in_dim < 1 or layer.out_dim < 1:
-            raise SpecError(f"{name} layer {i} dims must be >= 1, got {layer.in_dim}->{layer.out_dim}")
+        in_dim = _check_count(layer.in_dim, f"{name} layer {i} in_dim", 1)
+        out_dim = _check_count(layer.out_dim, f"{name} layer {i} out_dim", 1)
         if layer.activation not in ACTIVATIONS:
             raise SpecError(f"{name} layer {i} activation {layer.activation!r} not in {ACTIVATIONS}")
-        if i and spec[i - 1].out_dim != layer.in_dim:
-            raise SpecError(f"{name} layer {i - 1} out_dim {spec[i - 1].out_dim} "
-                            f"!= layer {i} in_dim {layer.in_dim}")
-    if spec[-1].activation != "none":
+        if layers and layers[-1].out_dim != in_dim:
+            raise SpecError(f"{name} layer {i - 1} out_dim {layers[-1].out_dim} "
+                            f"!= layer {i} in_dim {in_dim}")
+        layers.append(LayerSpec(in_dim, out_dim, layer.activation))
+    if layers[-1].activation != "none":
         raise SpecError(f"{name} final layer must have activation 'none' (emits logits)")
+    return layers
 
 
 class Network:

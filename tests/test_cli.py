@@ -134,6 +134,13 @@ def test_config_round_trip_nondefault_values():
     assert parsed == cfg
 
 
+def test_a_config_given_a_tuple_spec_renders_as_the_list_one():
+    spec = mlp_spec(8, [16, 16], 4)
+    cfg = tiny_config(mode="dual", student1_spec=tuple(spec))
+    assert type(cfg.student1_spec) is list
+    assert render_config(cfg) == render_config(tiny_config(mode="dual", student1_spec=spec))
+
+
 _SCALAR_VALUES = {
     bool: st.booleans(),
     int: st.integers(min_value=0, max_value=10**6),

@@ -159,6 +159,65 @@ def test_seed_block_arithmetic():
         Seeds(0, 1, -2, 3, 4)
 
 
+def _tiny_ladder(blocks, jobs=1):
+    return ablate(small_config("dual", epochs=1, teacher_epochs=1), blocks, jobs=jobs)
+
+
+# Every count, size and seed a spec holds, as a call that builds with the given value.
+COUNTS = {
+    "num_classes": lambda v: DatasetSpec(num_classes=v),
+    "feature_dim": lambda v: DatasetSpec(feature_dim=v),
+    "samples_per_class": lambda v: DatasetSpec(samples_per_class=v),
+    "dataset seed": lambda v: DatasetSpec(seed=v),
+    **{f"seed {name}": (lambda v, i=i: Seeds(*(v if j == i else j for j in range(5))))
+       for i, name in enumerate(("data", "teacher", "student1", "student2", "shuffle"))},
+    "seed block": Seeds.from_block,
+    "epochs": lambda v: small_config("dual", epochs=v),
+    "batch_size": lambda v: small_config("dual", batch_size=v),
+    "teacher_epochs": lambda v: small_config("dual", teacher_epochs=v),
+    "in_dim": lambda v: build([LayerSpec(v, 3, "none")], 0),
+    "out_dim": lambda v: build([LayerSpec(3, v, "none")], 0),
+    "ablate jobs": lambda v: _tiny_ladder([0], jobs=v),
+    "ablate seed block": lambda v: _tiny_ladder([v]),
+}
+
+
+@pytest.mark.parametrize("make", COUNTS.values(), ids=COUNTS)
+def test_a_count_must_be_an_integer(make):
+    for value in (2.0, 1.5, "3"):
+        with pytest.raises(SpecError, match="must be an integer >="):
+            make(value)
+    make(np.int64(7))  # numpy integers are integers
+
+
+def test_a_config_of_numpy_integers_runs_and_keeps_python_ints(tmp_path):
+    seeds = Seeds(*np.arange(5))
+    cfg = small_config("dual", epochs=np.int64(1), teacher_epochs=np.int64(1),
+                       batch_size=np.int64(32), seeds=seeds,
+                       dataset=replace(SMALL_DATA, num_classes=np.int64(4), seed=np.int64(0)),
+                       student2_spec=mlp_spec(np.int64(8), [np.int64(16)], np.int64(4)))
+    counts = (cfg.epochs, cfg.batch_size, cfg.teacher_epochs, cfg.dataset.num_classes,
+              cfg.dataset.seed, cfg.seeds.data, cfg.seeds.shuffle,
+              cfg.student2_spec[0].in_dim, cfg.student2_spec[-1].out_dim)
+    assert all(type(n) is int for n in counts)
+    train(cfg, tmp_path / "run")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["config"]["batch_size"] == 32
+
+
+def test_students_given_as_a_tuple_and_a_list_of_one_spec_are_not_heterogeneous():
+    spec = mlp_spec(8, [16], 4)
+    with pytest.raises(SpecError, match="heterogeneous"):
+        small_config("dual", student1_spec=tuple(spec), student2_spec=list(spec))
+
+
+def test_a_teacher_pretrained_from_a_tuple_spec_config_is_accepted_by_train():
+    cfg = small_config("dual", epochs=1, teacher_epochs=1,
+                       teacher_spec=tuple(mlp_spec(8, [16, 16], 4)))
+    teacher = pretrain_teacher(cfg)[0]
+    assert train(cfg, None, teacher=teacher).teacher is teacher
+
+
 def test_confidence_policy_per_mode():
     stats = UncertaintyStats(entropy=np.array([0.3, 0.9]), weight=np.array([0.75, 0.2]))
     for mode in ("hard_only", "baseline_kd"):
@@ -1374,12 +1433,17 @@ def test_a_ladder_block_pretrains_and_evaluates_its_teacher_once(monkeypatch):
     assert all(r.teacher is pretrained[0][0] for r in results)
 
 
-@pytest.mark.parametrize("blocks", [[0, 0], [-1]], ids=["repeated", "negative"])
+@pytest.mark.parametrize("blocks", [[0, 0], [-1], [0.5]],
+                         ids=["repeated", "negative", "non-integer"])
 def test_ablate_refuses_seed_blocks_before_it_creates_out_root(tmp_path, blocks):
     with pytest.raises(SpecError, match="distinct nonnegative seed blocks"):
         ablate(small_config("dual", epochs=2, teacher_epochs=2), blocks,
                out_root=tmp_path / "abl")
     assert not (tmp_path / "abl").exists()
+
+
+def test_ablate_takes_numpy_seed_blocks():
+    assert _tiny_ladder(np.arange(2)) == _tiny_ladder([0, 1])
 
 
 def test_ablation_input_validation():
