@@ -24,12 +24,13 @@ import math
 import os
 import struct
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, FormatError, ParameterError, SpecError, _check_count
+from .errors import DataError, FormatError, ParameterError, SpecError, _check_count, _check_real
 
 UKDD_MAGIC = b"UKDD"
 UKDD_VERSION = 2
@@ -54,9 +55,9 @@ class DatasetSpec:
         for name, least in (("num_classes", 2), ("feature_dim", 2), ("samples_per_class", 1),
                             ("seed", 0)):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, least))
-        if not 0 < self.overlap_sigma < math.inf:
+        if not 0 < _check_real(self.overlap_sigma, "overlap_sigma") < math.inf:
             raise SpecError(f"overlap_sigma must be positive and finite, got {self.overlap_sigma}")
-        if not 0.0 < self.val_fraction < 1.0:
+        if not 0.0 < _check_real(self.val_fraction, "val_fraction") < 1.0:
             raise SpecError(f"val_fraction must lie in (0,1), got {self.val_fraction}")
         held_out = _val_count(self.val_fraction, self.samples_per_class)
         if not 1 <= held_out < self.samples_per_class:
@@ -166,10 +167,9 @@ def batches(ds: Dataset, batch_size: int, shuffle_seed: int,
     The order comes from [shuffle_seed, epoch]. The last partial batch is
     kept. Arguments are checked now; each batch is normalized when drawn.
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    if epoch < 0 or shuffle_seed < 0:
-        raise ParameterError("shuffle_seed and epoch must be nonnegative")
+    batch_size = _check_count(batch_size, "batch_size", 1, ParameterError)
+    shuffle_seed = _check_count(shuffle_seed, "shuffle_seed", 0, ParameterError)
+    epoch = _check_count(epoch, "epoch", 0, ParameterError)
     idx = np.random.default_rng([shuffle_seed, epoch]).permutation(ds.train_indices)
     return ((ds.normalized(idx[i: i + batch_size]), ds.labels[idx[i: i + batch_size]])
             for i in range(0, idx.size, batch_size))
@@ -208,21 +208,37 @@ def nearest_mean_classify(points: np.ndarray, means: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- file formats
 
 
-def _write_atomic(path, blob: bytes) -> None:
+def _write_atomic(path, blob: bytes, spare: Path | None = None) -> None:
     """Write blob to a temp file beside path, then rename it over path.
 
     path's directory is created if missing, so a directory appears with its
     first file. A failed write leaves neither a partial path nor the temp
     file behind.
+
+    For a file rewritten again and again, spare keeps the replaced copy of
+    path as a hard link, and the next write renames it to its temp file and
+    overwrites it in place. Replacing a file frees its blocks, which on some
+    filesystems waits tens of milliseconds; this way a rewrite frees none.
+    The caller removes spare once done with path: until the rename, spare is
+    a second link to path. Without hard links the replaced copy is freed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    reused = False
     try:
-        with open(tmp, "wb") as fh:
+        if spare is not None:
+            with suppress(FileNotFoundError):  # no copy kept yet
+                os.replace(spare, tmp)
+                reused = True
+        with open(tmp, "r+b" if reused else "wb") as fh:
             fh.write(blob)
+            fh.truncate()
             fh.flush()
             os.fsync(fh.fileno())
+        if spare is not None:
+            with suppress(OSError):  # no path yet, or no hard links here
+                os.link(path, spare)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # a no-op once the rename has happened

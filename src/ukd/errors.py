@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for counts."""
+"""Exception types shared across the package, and the one rule each for counts and reals."""
 
 import numbers
 
@@ -43,12 +43,23 @@ class NumericError(UkdError, ArithmeticError):
     """A computation produced NaN or Inf."""
 
 
-def _check_count(value, what: str, least: int) -> int:
-    """value as an int, if it is an integer (numpy's included) >= least; else a SpecError.
+def _check_count(value, what: str, least: int, error: type[UkdError] = SpecError) -> int:
+    """value as an int, if it is an integer (numpy's included) >= least; else an error.
 
-    Every count, size and seed a spec holds is checked here, so a float or a
-    string is refused where the spec is built, not deep inside numpy.
+    Every count, size and seed a spec or batches holds is checked here, so a
+    float or a string is refused where it is given, not deep inside numpy.
     """
     if not isinstance(value, numbers.Integral) or value < least:
-        raise SpecError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, what: str):
+    """value, if it is a real number (numpy's included); else a SpecError naming what.
+
+    Every real-valued field of a spec is checked here before its range, so a
+    string or None is refused by name, not by a bare TypeError from a comparison.
+    """
+    if not isinstance(value, numbers.Real):
+        raise SpecError(f"{what} must be a real number, got {value!r}")
+    return value

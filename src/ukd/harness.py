@@ -54,7 +54,7 @@ from .distill import (
     total_loss,
     uncertainty_stats,
 )
-from .errors import DataError, FormatError, NumericError, SpecError, _check_count
+from .errors import DataError, FormatError, NumericError, SpecError, _check_count, _check_real
 from .gradcore import Tensor, backward, log_softmax, no_grad, row_softmax, zero_grad
 from .nets import (
     ACTIVATIONS,
@@ -151,7 +151,7 @@ class TrainConfig:
                 raise SpecError(f"{self.mode} requires {name} = 0 (the mode has no such term)")
         for name in ("alpha", "beta", "gamma", "tau", "eta0", "momentum",
                      "weight_decay", "augment_strength"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_check_real(getattr(self, name), name)):
                 raise SpecError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("alpha", "beta", "gamma"):
             if getattr(self, name) < 0:
@@ -550,8 +550,10 @@ def train(config: TrainConfig, out_dir=None,
 
     The run lives in memory, and each file in out_dir is written whole from
     it by _write_atomic: metrics.csv after every student epoch, so a killed
-    run keeps exactly its finished epochs. out_dir appears with its first
-    file, the metrics header once the teacher phase is done, so a run
+    run keeps exactly its finished epochs. Each rewrite reuses the copy it
+    replaced last time as its temp file, and that spare is removed however
+    the run ends, so a run frees one metrics file. out_dir appears with its
+    first file, the metrics header once the teacher phase is done, so a run
     refused or killed before then leaves no directory. A NumericError in the
     teacher phase (pretraining, or an injected teacher's evaluation) or the
     student phase leaves a summary.json with status "diverged", the phase,
@@ -623,6 +625,8 @@ def train(config: TrainConfig, out_dir=None,
             _write_diverged(run_dir, config, phase, err, epoch, batch)
         raise
     finally:
+        if run_dir is not None and run_dir.is_dir():
+            _metrics_spare(run_dir).unlink(missing_ok=True)
         if teach is not None:
             teach.close()
 
@@ -641,7 +645,12 @@ def train(config: TrainConfig, out_dir=None,
 def _write_metrics(run_dir: Path | None, records: list[MetricsRecord]) -> None:
     if run_dir is not None:
         text = "".join(f"{line}\n" for line in [METRICS_HEADER, *(r.csv_row() for r in records)])
-        _write_atomic(run_dir / "metrics.csv", text.encode("ascii"))
+        _write_atomic(run_dir / "metrics.csv", text.encode("ascii"), _metrics_spare(run_dir))
+
+
+def _metrics_spare(run_dir: Path) -> Path:
+    """Where this process keeps metrics.csv's replaced copy for its next rewrite."""
+    return run_dir / f".metrics.csv.{os.getpid()}.spare"
 
 
 def _write_summary(run_dir: Path, summary: dict) -> None:

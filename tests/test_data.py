@@ -257,6 +257,10 @@ def test_batches_reject_bad_arguments():
         batches(ds, 8, 1, -1)
     with pytest.raises(ParameterError):
         batches(ds, 8, -1, 0)
+    for args, named in (((2.0, 0, 0), "batch_size"), (("3", 0, 0), "batch_size"),
+                        ((8, 1.0, 0), "shuffle_seed"), ((8, 0, 1.0), "epoch")):
+        with pytest.raises(ParameterError, match=f"^{named} must be an integer >= "):
+            batches(ds, *args)
 
 
 # ---------------------------------------------------------------- augment

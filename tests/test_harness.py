@@ -31,6 +31,7 @@ from ukd.gradcore import Tensor, backward, zero_grad
 from ukd.harness import (
     ABLATION_ROWS,
     METRICS_HEADER,
+    MODES,
     MetricsRecord,
     Seeds,
     TrainConfig,
@@ -188,6 +189,28 @@ def test_a_count_must_be_an_integer(make):
         with pytest.raises(SpecError, match="must be an integer >="):
             make(value)
     make(np.int64(7))  # numpy integers are integers
+
+
+# Every real-valued field a spec holds, as a call that builds with the given value.
+REALS = {
+    **{name: (lambda v, name=name: small_config("dual", **{name: v}))
+       for name in ("alpha", "beta", "gamma", "tau", "eta0", "momentum", "weight_decay",
+                    "augment_strength")},
+    **{name: (lambda v, name=name: DatasetSpec(**{name: v}))
+       for name in ("overlap_sigma", "val_fraction")},
+}
+
+
+@pytest.mark.parametrize("value", ["4", None])
+@pytest.mark.parametrize("name", REALS)
+def test_a_real_field_must_be_a_real_number(name, value):
+    weights = dict(zip(("alpha", "beta", "gamma"), MODES["dual"][0]))
+    if value is None and name in weights:
+        assert getattr(REALS[name](value), name) == weights[name]
+        return  # a None loss weight takes the mode's default
+    with pytest.raises(SpecError, match=f"^{name} must be a real number, got {value!r}$"):
+        REALS[name](value)
+    REALS[name](np.float64(0.25))  # numpy floats are real numbers
 
 
 def test_a_config_of_numpy_integers_runs_and_keeps_python_ints(tmp_path):
@@ -525,6 +548,89 @@ def test_interrupted_student_phase_keeps_exactly_its_finished_epochs(tmp_path, m
     assert (tmp_path / "run" / "metrics.csv").read_text().splitlines() == \
         [METRICS_HEADER] + finished
     assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["metrics.csv"]
+
+
+RUN_FILES = sorted(["metrics.csv", "summary.json", "teacher.ukdc", "student_s1_final.ukdc",
+                    "student_s2_final.ukdc", "student_s1_best.ukdc", "student_s2_best.ukdc"])
+
+
+def _metrics_replacements(monkeypatch, act=lambda dst: None):
+    """Each os.replace onto a metrics.csv, as (inode, link count) of the copy it replaces
+    (None for a first write), calling act(dst) before the rename."""
+    real_replace, seen = os.replace, []
+
+    def replacing(src, dst):
+        if Path(dst).name == "metrics.csv":
+            st = os.stat(dst) if os.path.exists(dst) else None
+            seen.append(st and (st.st_ino, st.st_nlink))
+            act(Path(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replacing)
+    return seen
+
+
+def test_rewriting_metrics_frees_no_copy_and_leaves_only_the_run_files(tmp_path, monkeypatch):
+    cfg = small_config("dual", epochs=5)
+    teacher, _ = pretrain_teacher(cfg)
+    whole = train(cfg, None, teacher=teacher)
+    replaced = _metrics_replacements(monkeypatch)
+    train(cfg, tmp_path / "run", teacher=teacher)
+    assert len(replaced) == 1 + cfg.epochs  # the header, then once per epoch
+    assert replaced[0] is None
+    # every later rename replaces a copy the spare still links, so it frees nothing,
+    # and the run's metrics.csv alternates between two files
+    assert all(nlink == 2 for _, nlink in replaced[1:])
+    assert len({ino for ino, _ in replaced[1:]}) <= 2
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == RUN_FILES
+    assert (tmp_path / "run" / "metrics.csv").read_text().splitlines() == \
+        [METRICS_HEADER] + [r.csv_row() for r in whole.records]
+
+
+@pytest.mark.parametrize("write", [2, 3])  # epoch 0's rewrite, then epoch 1's
+def test_interrupt_between_keeping_and_replacing_metrics_keeps_finished_epochs(
+        tmp_path, monkeypatch, write):
+    cfg = small_config("dual")
+    teacher, _ = pretrain_teacher(cfg)
+    whole = train(cfg, None, teacher=teacher)
+
+    def interrupting(dst):
+        if len(replaced) == write:
+            raise KeyboardInterrupt
+
+    replaced = _metrics_replacements(monkeypatch, interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        train(cfg, tmp_path / "run", teacher=teacher)
+    assert replaced[-1][1] == 2  # interrupted with the spare kept as a second link
+    finished = [r.csv_row() for r in whole.records if r.epoch < write - 2]
+    assert (tmp_path / "run" / "metrics.csv").read_text().splitlines() == \
+        [METRICS_HEADER] + finished
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["metrics.csv"]
+
+
+def test_an_out_dir_that_is_a_file_is_refused_as_it_exists(tmp_path):
+    cfg = small_config("dual", epochs=1, teacher_epochs=1)
+    (tmp_path / "run").write_bytes(b"")
+    with pytest.raises(FileExistsError) as info:
+        train(cfg, tmp_path / "run")
+    assert info.value.__context__ is None  # no second error from removing the spare
+
+
+def test_metrics_without_hard_links_are_written_as_before(tmp_path, monkeypatch):
+    cfg = small_config("dual")
+    teacher, _ = pretrain_teacher(cfg)
+    train(cfg, tmp_path / "linked", teacher=teacher)
+
+    def no_links(src, dst):
+        raise OSError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(os, "link", no_links)
+    replaced = _metrics_replacements(monkeypatch)
+    train(cfg, tmp_path / "unlinked", teacher=teacher)
+    assert all(nlink == 1 for _, nlink in replaced[1:])  # each rename frees the old copy
+    assert sorted(p.name for p in (tmp_path / "unlinked").iterdir()) == RUN_FILES
+    assert (tmp_path / "linked" / "metrics.csv").read_bytes() == \
+        (tmp_path / "unlinked" / "metrics.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -958,6 +1064,16 @@ def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, monkeypatch, save
     assert [p.parent for p in opened] == [tmp_path, tmp_path]  # temp files beside target
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept"]
     assert kept.read_bytes() == before
+
+
+def test_a_reused_spare_is_overwritten_whole(tmp_path):
+    from ukd.data import _write_atomic
+    path, spare = tmp_path / "f", tmp_path / ".f.spare"
+    for blob in (b"a" * 100, b"b" * 100, b"c"):  # the last reuses the 100-byte first copy
+        _write_atomic(path, blob, spare)
+        assert path.read_bytes() == blob
+    assert spare.read_bytes() == b"b" * 100 and spare.stat().st_nlink == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".f.spare", "f"]
 
 
 def _ckpt_bytes(tmp_path):
